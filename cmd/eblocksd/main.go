@@ -1,13 +1,16 @@
 // Command eblocksd serves the synthesis pipeline over HTTP: a
-// concurrent front-end with a two-tier content-addressed result cache
-// — an in-process LRU over an optional persistent disk store — so
-// repeated synthesis of the same design is served from memory, and a
-// restarted server keeps serving byte-identical responses from disk.
-// JSON in, JSON out, reusing the netlist JSON wire form.
+// concurrent front-end over one content-addressed artifact store —
+// a memory tier over an optional disk tier (-store-dir) over an
+// optional remote origin (-store-remote) — so repeated synthesis of
+// the same design is served from memory, and a restarted server with
+// a disk tier keeps serving byte-identical responses from disk.
+// Without -store-dir the store is memory-only; -store-mem-bytes sizes
+// its memory tier either way. JSON in, JSON out, reusing the netlist
+// JSON wire form.
 //
 // Usage:
 //
-//	eblocksd -addr :8080 -cache 512 -store-dir /var/lib/eblocksd -store-max-bytes 268435456
+//	eblocksd -addr :8080 -store-dir /var/lib/eblocksd -store-max-bytes 268435456
 //
 // Endpoints:
 //
@@ -71,16 +74,14 @@ import (
 func main() {
 	var (
 		addr           = flag.String("addr", ":8080", "listen address")
-		cacheSize      = flag.Int("cache", 256, "in-memory result cache capacity (entries)")
 		workers        = flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-		storeDir       = flag.String("store-dir", "", "directory for the persistent artifact store (empty = memory-only caching)")
+		storeDir       = flag.String("store-dir", "", "directory for the artifact store's disk tier (empty = memory-only store)")
 		storeMaxBytes  = flag.Int64("store-max-bytes", store.DefaultMaxBytes, "disk budget for the artifact store; least recently used entries are evicted beyond it")
-		storeMemBytes  = flag.Int64("store-mem-bytes", store.DefaultMemBytes, "budget for the store's own memory tier (serves stage artifacts and post-eviction responses; -1 disables it, leaving -cache as the only memory tier)")
+		storeMemBytes  = flag.Int64("store-mem-bytes", store.DefaultMemBytes, "payload budget for the store's memory tier, which serves every cached response and stage artifact before disk is read (-1 disables it)")
 		storeRemote    = flag.String("store-remote", "", "base URL of a shared remote artifact origin — another eblocksd, e.g. http://cache.internal:8080 (its /v1/store routes are used); requires -store-dir. Lookups miss through memory and disk to it, writes flow through to it, and a down origin degrades this instance to local-only")
 		storeRemoteTMO = flag.Duration("store-remote-timeout", store.DefaultRemoteTimeout, "per-round-trip timeout for the remote artifact origin")
 		storeAuth      = flag.String("store-auth", "", "shared secret for the fleet's /v1/store routes: required of callers on this instance's origin routes and sent to the -store-remote origin (empty = no auth; rely on network isolation)")
 		simMaxEvents   = flag.Int("sim-max-events", 0, "cap on the per-request simulation event budget for /v1/simulate and /v1/verify (0 = the simulator default of 1,000,000)")
-		simInterp      = flag.Bool("sim-interpreter", false, "evaluate behavior programs with the tree-walking interpreter instead of the compiled bytecode VM (an escape hatch; the VM is the default and produces identical traces)")
 		maxInflight    = flag.Int("max-inflight", 0, "bound on concurrent pipeline requests (synthesize/partition/batch/delta/simulate/verify); arrivals beyond it wait in a bounded queue and are shed with 429 past that (0 = unbounded)")
 		queueDepth     = flag.Int("queue-depth", 0, "bound on requests waiting for an inflight slot before new arrivals are shed with 429 (0 = same as -max-inflight, negative = no queue)")
 		quotaRPS       = flag.Float64("quota-rps", 0, "per-client steady-state request quota in requests/sec, keyed by bearer token or remote host; requests beyond it are shed with 429 + Retry-After (0 = no quotas)")
@@ -88,37 +89,37 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := service.Config{
-		CacheSize: *cacheSize, Workers: *workers,
-		SimMaxEvents: *simMaxEvents, SimInterpreter: *simInterp, StoreAuthToken: *storeAuth,
-		MaxInflight: *maxInflight, QueueDepth: *queueDepth,
-		QuotaRPS: *quotaRPS, QuotaBurst: *quotaBurst,
-	}
 	if *storeRemote != "" && *storeDir == "" {
 		log.Fatalf("eblocksd: -store-remote requires -store-dir (the remote tier layers beneath the local disk tier)")
 	}
-	if *storeDir != "" {
-		opts := store.Options{MaxBytes: *storeMaxBytes, MemBytes: *storeMemBytes}
-		if *storeRemote != "" {
-			base := strings.TrimRight(*storeRemote, "/")
-			if !strings.HasSuffix(base, "/v1/store") {
-				base += "/v1/store"
-			}
-			opts.Remote = store.NewRemote(base, store.RemoteOptions{Timeout: *storeRemoteTMO, AuthToken: *storeAuth})
-			log.Printf("eblocksd: sharing artifacts with remote origin %s", base)
+	opts := store.Options{MaxBytes: *storeMaxBytes, MemBytes: *storeMemBytes}
+	if *storeRemote != "" {
+		base := strings.TrimRight(*storeRemote, "/")
+		if !strings.HasSuffix(base, "/v1/store") {
+			base += "/v1/store"
 		}
-		st, err := store.Open(*storeDir, opts)
-		if err != nil {
-			log.Fatalf("eblocksd: opening store: %v", err)
-		}
-		defer st.Close()
-		cfg.Store = st
+		opts.Remote = store.NewRemote(base, store.RemoteOptions{Timeout: *storeRemoteTMO, AuthToken: *storeAuth})
+		log.Printf("eblocksd: sharing artifacts with remote origin %s", base)
+	}
+	st, err := store.Open(*storeDir, opts)
+	if err != nil {
+		log.Fatalf("eblocksd: opening store: %v", err)
+	}
+	defer st.Close()
+	if *storeDir == "" {
+		log.Printf("eblocksd: memory-only artifact store (memory budget %d)", *storeMemBytes)
+	} else {
 		stats := st.Stats()
 		log.Printf("eblocksd: artifact store at %s (%d entries, %d bytes, budget %d)",
 			*storeDir, stats.Entries, stats.BytesUsed, *storeMaxBytes)
 	}
 
-	svc := service.New(cfg)
+	svc := service.New(service.Config{
+		Store: st, Workers: *workers,
+		SimMaxEvents: *simMaxEvents, StoreAuthToken: *storeAuth,
+		MaxInflight: *maxInflight, QueueDepth: *queueDepth,
+		QuotaRPS: *quotaRPS, QuotaBurst: *quotaBurst,
+	})
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           svc.Handler(),
@@ -130,7 +131,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("eblocksd: listening on %s (cache %d entries)", *addr, *cacheSize)
+		log.Printf("eblocksd: listening on %s", *addr)
 		errc <- srv.ListenAndServe()
 	}()
 
@@ -148,7 +149,7 @@ func main() {
 		}
 	}
 
-	st := svc.Stats()
+	ss := svc.Stats()
 	fmt.Fprintf(os.Stderr, "eblocksd: served %d requests (%d memory hits, %d disk hits, %d coalesced, %d errors), p50 %v p99 %v\n",
-		st.Requests, st.MemoryHits, st.DiskHits, st.Coalesced, st.Errors, st.P50, st.P99)
+		ss.Requests, ss.MemoryHits, ss.DiskHits, ss.Coalesced, ss.Errors, ss.P50, ss.P99)
 }

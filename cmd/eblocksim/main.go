@@ -18,9 +18,7 @@
 // records as they happen, in bounded memory, so horizons far beyond
 // what a buffered trace could hold are fine.
 //
-// Behaviors are evaluated on the compiled bytecode VM by default;
-// -interpreter switches to the tree-walking interpreter (identical
-// traces, several times slower on behavior-heavy designs).
+// Behaviors are evaluated on the compiled bytecode VM.
 //
 // The stimulus script has one event per line:
 //
@@ -55,8 +53,6 @@ func main() {
 		traceAll   = flag.Bool("all", false, "trace every block, not just primary outputs")
 		wireDelay  = flag.Int64("wiredelay", 1, "packet propagation delay per wire in ms")
 		delta      = flag.Bool("delta", false, "use glitch-free delta-cycle semantics (zero wire delay)")
-		compiled   = flag.Bool("compiled", true, "evaluate behaviors on the bytecode VM (the default; -interpreter opts out)")
-		interp     = flag.Bool("interpreter", false, "evaluate behaviors with the tree-walking interpreter instead of the bytecode VM (identical traces, slower)")
 		vcdPath    = flag.String("vcd", "", "write the trace as a VCD waveform to this file")
 		stats      = flag.Bool("stats", false, "print structural statistics before simulating")
 		jsonOut    = flag.Bool("json", false, "print the eblocksd /v1/simulate response schema instead of the report")
@@ -92,7 +88,7 @@ func main() {
 			TraceAll:    *traceAll,
 			WireDelay:   *wireDelay,
 			DeltaCycles: *delta,
-			Compiled:    *compiled && !*interp,
+			Compiled:    true,
 		},
 	}
 	if *scriptPath != "" {

@@ -6,11 +6,11 @@ import (
 	"strings"
 )
 
-// ExportedDoc is the docs-freshness gate, folded in from
+// ExportedDoc is the docs-freshness gate, folded in from the former
 // cmd/doccheck: every package needs a package comment (main packages
 // excepted) and every exported symbol a doc comment, so godoc
-// coverage cannot silently rot. cmd/doccheck remains as a thin
-// compatibility wrapper over this analyzer.
+// coverage cannot silently rot. Run it alone with
+// "go run ./cmd/eblocksvet -run exporteddoc ./...".
 var ExportedDoc = &Analyzer{
 	Name: "exporteddoc",
 	Doc: "packages need a package comment and exported symbols need doc comments " +

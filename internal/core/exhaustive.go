@@ -122,10 +122,9 @@ func Exhaustive(g *graph.Graph, c Constraints, opts ExhaustiveOptions) (*Result,
 			s.replay(tasks[t])
 			s.best, s.bestCovered = initBest, initCovered
 			s.bestParts, s.found = nil, false
-			err := s.search(len(tasks[t]))
-			results[t] = exTaskResult{found: s.found, cost: s.best, covered: s.bestCovered, parts: s.bestParts}
-			s.unreplay(tasks[t])
-			if err != nil {
+			if err := s.search(len(tasks[t])); err != nil {
+				// A failed search left s mid-branch; the searcher is
+				// abandoned, not unwound.
 				errMu.Lock()
 				if firstErr == nil {
 					firstErr = err
@@ -133,6 +132,8 @@ func Exhaustive(g *graph.Graph, c Constraints, opts ExhaustiveOptions) (*Result,
 				errMu.Unlock()
 				return
 			}
+			results[t] = exTaskResult{found: s.found, cost: s.best, covered: s.bestCovered, parts: s.bestParts}
+			s.unreplay(tasks[t])
 		}
 	}
 	if workers == 1 || len(tasks) <= 1 {
@@ -450,7 +451,9 @@ func (s *exSearcher) closeGroup() {
 	s.groups = s.groups[:k]
 }
 
-// search assigns inner[i] and recurses.
+// search assigns inner[i] and recurses. An error (cancellation)
+// returns at once without undoing any placement: the caller abandons
+// the searcher.
 func (s *exSearcher) search(i int) error {
 	s.visited++
 	if s.opts.Ctx != nil && s.visited%4096 == 0 {
@@ -498,10 +501,12 @@ func (s *exSearcher) search(i int) error {
 	// indistinguishable, so a single representative branch suffices).
 	gi := s.openGroup()
 	s.place(x, gi)
-	err := s.search(i + 1)
+	if err := s.search(i + 1); err != nil {
+		return err
+	}
 	s.unplace(x, gi)
 	s.closeGroup()
-	return err
+	return nil
 }
 
 // leaf evaluates a complete assignment against the task incumbent.

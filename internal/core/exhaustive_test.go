@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -122,14 +123,18 @@ func TestExhaustiveSeededBound(t *testing.T) {
 
 func TestExhaustiveCancellation(t *testing.T) {
 	g := randomTestDAG(rand.New(rand.NewSource(31)), 40)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	_, err := Exhaustive(g, DefaultConstraints, ExhaustiveOptions{Ctx: ctx})
-	if err == nil {
-		t.Skip("search finished before the deadline on this machine")
-	}
-	if err != context.DeadlineExceeded {
-		t.Fatalf("err = %v, want deadline exceeded", err)
+	for _, workers := range []int{0, 1} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			defer cancel()
+			_, err := Exhaustive(g, DefaultConstraints, ExhaustiveOptions{Ctx: ctx, Workers: workers})
+			if err == nil {
+				t.Skip("search finished before the deadline on this machine")
+			}
+			if err != context.DeadlineExceeded {
+				t.Fatalf("err = %v, want deadline exceeded", err)
+			}
+		})
 	}
 }
 

@@ -3,8 +3,8 @@
 // callers for the same key wait for it and share its result (value
 // and error alike). A Group has no cache — a key is forgotten the
 // moment its flight completes — so it suits computations whose
-// results are cached elsewhere (the service's response LRU, the
-// artifact store) or not at all (simulation traces, remote fetches).
+// results are cached elsewhere (the artifact store) or not at all
+// (simulation traces, remote fetches).
 //
 // internal/service coalesces synthesis, simulation and verification
 // requests on it; internal/store single-flights remote-origin fetches

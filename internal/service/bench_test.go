@@ -39,7 +39,7 @@ func BenchmarkServiceCold(b *testing.B) {
 }
 
 // BenchmarkServiceWarm measures a cache hit per iteration: the content
-// fingerprint plus an LRU lookup.
+// fingerprint, a store memory-tier lookup and the response decode.
 func BenchmarkServiceWarm(b *testing.B) {
 	d := benchDesign(b)
 	s := New(Config{})
@@ -60,10 +60,9 @@ func BenchmarkServiceWarm(b *testing.B) {
 }
 
 // BenchmarkServiceDiskWarm measures a restart-warm hit per iteration:
-// each iteration runs against a fresh Service (empty memory tier)
-// sharing one populated store whose own memory tier is disabled, so
-// the hit pays the full disk path — file read, checksum verification,
-// response decode.
+// each iteration runs against a fresh Service sharing one populated
+// store whose memory tier is disabled, so the hit pays the full disk
+// path — file read, checksum verification, response decode.
 func BenchmarkServiceDiskWarm(b *testing.B) {
 	d := benchDesign(b)
 	dir := b.TempDir()
@@ -188,8 +187,8 @@ func TestRestartWarmSpeedup(t *testing.T) {
 	d := benchDesign(t)
 	const reps = 3
 
-	// Populate the store once, then measure fresh services (empty
-	// memory tier, store memory tier off) hitting the disk path.
+	// Populate the store once, then measure fresh services over it
+	// (memory tier off) hitting the disk path.
 	st, err := store.Open(t.TempDir(), store.Options{MemBytes: -1})
 	if err != nil {
 		t.Fatal(err)

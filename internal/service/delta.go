@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/store"
 	"repro/internal/synth"
 )
 
@@ -37,9 +36,6 @@ type infeasibleMarker struct {
 // infeasibleHit reports whether the negative cache has a marker for
 // this stage key.
 func (s *Service) infeasibleHit(sk synth.StageKey) bool {
-	if s.store == nil {
-		return false
-	}
 	raw, _, ok := s.store.Get(storeKey(sk, stageInfeasible))
 	if !ok {
 		return false
@@ -51,9 +47,6 @@ func (s *Service) infeasibleHit(sk synth.StageKey) bool {
 // markInfeasible records a typed infeasibility outcome in the negative
 // cache. Callers gate on errors.Is(err, synth.ErrUnrealizable).
 func (s *Service) markInfeasible(sk synth.StageKey, err error) {
-	if s.store == nil {
-		return
-	}
 	raw, merr := json.Marshal(infeasibleMarker{V: 1, Error: err.Error()})
 	if merr == nil {
 		s.store.Put(storeKey(sk, stageInfeasible), raw)
@@ -101,28 +94,14 @@ func (s *Service) Delta(ctx context.Context, req Request, edits []synth.Edit) (*
 		return fail(err)
 	}
 	sk := ca.StageKey()
-	key := sk.String()
 
 	// The edited design may already have a full response cached — a
 	// repeated edit, or an undo back to a state synthesized earlier in
 	// the session.
-	if resp, ok := s.cachedResponse(key); ok {
-		s.stats.observeClass(time.Since(start), outcomeMemoryHit, classDelta)
-		return resp, synth.DeltaStats{}, SourceMemory, nil
-	}
-	if s.store != nil {
-		if raw, tier, ok := s.store.Get(storeKey(sk, stageResponse)); ok {
-			var r Response
-			if err := json.Unmarshal(raw, &r); err == nil {
-				s.cacheResponse(key, &r)
-				src, o := SourceDisk, outcomeDiskHit
-				if tier == store.TierRemote {
-					src, o = SourceRemote, outcomeRemoteHit
-				}
-				s.stats.observeClass(time.Since(start), o, classDelta)
-				return &r, synth.DeltaStats{}, src, nil
-			}
-		}
+	if r, tier, ok := s.loadResponse(sk); ok {
+		src, o := served(tier)
+		s.stats.observeClass(time.Since(start), o, classDelta)
+		return r, synth.DeltaStats{}, src, nil
 	}
 	if s.infeasibleHit(sk) {
 		s.stats.observeInfeasibleHit()
@@ -132,7 +111,7 @@ func (s *Service) Delta(ctx context.Context, req Request, edits []synth.Edit) (*
 	// The pipeline runs detached from the request context, like a
 	// synthesis flight: its artifacts populate the shared stage cache
 	// either way, so a mid-run disconnect should not waste the work.
-	em, stats, err := synth.SynthesizeCaptured(context.WithoutCancel(ctx), ca, s.stageCache())
+	em, stats, err := synth.SynthesizeCaptured(context.WithoutCancel(ctx), ca, &stages{store: s.store})
 	if err != nil {
 		return fail(s.noteInfeasible(sk, err))
 	}
@@ -141,12 +120,7 @@ func (s *Service) Delta(ctx context.Context, req Request, edits []synth.Edit) (*
 	if err != nil {
 		return fail(err)
 	}
-	if s.store != nil {
-		if raw, err := json.Marshal(r); err == nil {
-			s.store.Put(storeKey(sk, stageResponse), raw)
-		}
-	}
-	s.cacheResponse(key, r)
+	s.saveResponse(sk, r)
 	s.PersistDesign(ca.Design)
 	s.stats.observeClass(time.Since(start), outcomeMiss, classDelta)
 	return r, stats, SourceMiss, nil

@@ -297,7 +297,7 @@ func TestMetricsExportDeltaSeries(t *testing.T) {
 		`eblocksd_partitions_total{outcome="recomputed"}`,
 		"eblocksd_infeasible_hits_total 0",
 		`eblocksd_store_stage_entries{stage="partition.v1"}`,
-		`eblocksd_store_stage_entries{stage="partitioned.v2"}`,
+		`eblocksd_store_stage_entries{stage="partitioned.v3"}`,
 		`eblocksd_store_stage_entries{stage="response.v1"}`,
 		`eblocksd_store_stage_entries{stage="design.v1"}`,
 		`eblocksd_store_stage_bytes{stage="partition.v1"}`,

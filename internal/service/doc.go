@@ -8,13 +8,14 @@
 // fleet — synthesize once and then serve from cache, byte-for-byte
 // identical to the cold run.
 //
-// The first tier is an in-process LRU of decoded responses; the
-// optional deeper tiers (Config.Store) are a persistent
-// internal/store artifact store that survives restarts, additionally
-// memoizes the partition and verification stages separately from full
-// responses (so constraint sweeps and partition-only requests reuse
-// partitioning work), and — with a remote backend configured — misses
-// through to another instance's shared artifact namespace.
+// The cache is one internal/store artifact store (Config.Store): its
+// memory tier, then — when it has a directory — its disk tier, which
+// survives restarts, then an optional remote backend, which misses
+// through to another instance's shared artifact namespace. Without a
+// configured store the service opens a memory-only one. Besides full
+// responses the store memoizes the partition and verification stages
+// (so constraint sweeps and partition-only requests reuse partitioning
+// work), negative results, design documents and simulator checkpoints.
 // cmd/eblocksd serves this package over HTTP, including the
 // shared-origin /v1/store routes and a Prometheus /metrics export;
 // see http.go for the wire schema and docs/API.md for the full

@@ -88,10 +88,10 @@ func (jr JSONRequest) toRequest() (Request, error) {
 //	GET  /metrics        — the same counters, Prometheus text format
 //	GET  /healthz        — liveness probe
 //
-// Synthesize, partition and verify responses carry an X-Cache header
-// naming the tier that served them: "memory" (in-process cache),
-// "disk" (persistent store), "remote" (fleet origin) or "miss"
-// (computed by this request). See docs/API.md for the full reference.
+// Synthesize, partition, delta and verify responses carry an X-Cache
+// header naming the store tier that served them: "memory", "disk",
+// "remote" (fleet origin) or "miss" (computed by this request). See
+// docs/API.md for the full reference.
 //
 // With admission control configured (Config.MaxInflight and/or
 // Config.QuotaRPS), every pipeline route above — the POSTs — sits
@@ -171,13 +171,9 @@ func (s *Service) Handler() http.Handler {
 	})
 	mux.Handle("/v1/store/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// The shared-origin artifact routes (GET/PUT /v1/store/{id}),
-		// served by the store itself so any instance with a persistent
-		// store can act as its fleet's cache origin; optionally gated
-		// by the fleet's shared secret.
-		if s.store == nil {
-			writeError(w, http.StatusNotFound, fmt.Errorf("no persistent store configured"))
-			return
-		}
+		// served by the store itself so any instance with a disk store
+		// can act as its fleet's cache origin (a memory-only store
+		// answers 404); optionally gated by the fleet's shared secret.
 		h := store.AuthMiddleware(s.cfg.StoreAuthToken, s.store.RemoteHandler())
 		http.StripPrefix("/v1/store", h).ServeHTTP(w, r)
 	}))

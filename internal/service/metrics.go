@@ -45,30 +45,9 @@ type metrics struct {
 	snapshotsSaved uint64
 	snapshotHits   uint64
 	snapshotMisses uint64
-	// Per-evaluator-mode simulate latency: run counts and cumulative
-	// wall time for the interpreter and the compiled VM, so the
-	// compiled-by-default win is observable in production.
-	simInterpCount   uint64
-	simInterpSum     time.Duration
-	simCompiledCount uint64
-	simCompiledSum   time.Duration
-	latSum           time.Duration
-	lat              []time.Duration // ring buffer, latencyWindow capacity
-	latNext          int
-}
-
-// observeSimMode attributes one simulate run's wall time to its
-// evaluator mode.
-func (m *metrics) observeSimMode(d time.Duration, compiled bool) {
-	m.mu.Lock()
-	if compiled {
-		m.simCompiledCount++
-		m.simCompiledSum += d
-	} else {
-		m.simInterpCount++
-		m.simInterpSum += d
-	}
-	m.mu.Unlock()
+	latSum         time.Duration
+	lat            []time.Duration // ring buffer, latencyWindow capacity
+	latNext        int
 }
 
 // observeStream counts one streamed simulate run and the change
@@ -166,8 +145,8 @@ const (
 	outcomeCoalesced
 	outcomeError
 	// outcomeUncached: a successful request outside the cache's scope
-	// (e.g. a partition-only request with no store configured);
-	// counted in Requests but not as a hit or miss.
+	// (a simulation, which is coalesced but never cached); counted in
+	// Requests but not as a hit or miss.
 	outcomeUncached
 )
 
@@ -204,23 +183,20 @@ type Stats struct {
 	// CacheHits totals hits across every tier (MemoryHits + DiskHits +
 	// RemoteHits); kept for clients of the pre-store schema.
 	CacheHits uint64 `json:"cacheHits"`
-	// MemoryHits counts requests served from the in-process response
-	// cache (or the store's own memory tier); DiskHits counts requests
-	// served from the persistent store's disk tier; RemoteHits counts
-	// requests served from the fleet's shared remote origin.
+	// MemoryHits counts requests served from the store's memory tier;
+	// DiskHits counts requests served from its disk tier; RemoteHits
+	// counts requests served from the fleet's shared remote origin.
 	MemoryHits uint64 `json:"memoryHits"`
 	DiskHits   uint64 `json:"diskHits"`
 	RemoteHits uint64 `json:"remoteHits"`
 	// CacheMisses counts cacheable requests that ran the synthesis
 	// pipeline; Coalesced counts requests that joined an identical
-	// in-flight synthesis instead of running their own
-	// (single-flight).
+	// in-flight request instead of running their own (single-flight),
+	// whichever tier that flight was served from.
 	CacheMisses uint64 `json:"cacheMisses"`
 	Coalesced   uint64 `json:"coalesced"`
 	// Errors counts requests that failed.
 	Errors uint64 `json:"errors"`
-	// CacheEntries is the current number of in-memory cached results.
-	CacheEntries int `json:"cacheEntries"`
 	// P50/P99 are request latency quantiles over a sliding window of
 	// recent requests, in nanoseconds; LatencySum is the cumulative
 	// request latency across ALL requests (the Prometheus summary's
@@ -237,16 +213,10 @@ type Stats struct {
 	SnapshotsSaved uint64 `json:"snapshotsSaved"`
 	SnapshotHits   uint64 `json:"snapshotHits"`
 	SnapshotMisses uint64 `json:"snapshotMisses"`
-	// Per-evaluator-mode simulate latency: run counts and cumulative
-	// wall time under the interpreter vs. the compiled VM.
-	SimInterpreterRuns uint64        `json:"simInterpreterRuns"`
-	SimInterpreterSum  time.Duration `json:"simInterpreterSumNanos"`
-	SimCompiledRuns    uint64        `json:"simCompiledRuns"`
-	SimCompiledSum     time.Duration `json:"simCompiledSumNanos"`
-	// Store carries the persistent store's own counters (entries,
-	// bytes, per-tier hits, evictions); absent when the service runs
-	// memory-only.
-	Store *store.Stats `json:"store,omitempty"`
+	// Store carries the store's own counters (entries, bytes, per-tier
+	// hits, evictions); the disk fields are zero for a memory-only
+	// store.
+	Store store.Stats `json:"store"`
 	// Admission carries the overload gate's counters and gauges;
 	// absent when admission control is not configured.
 	Admission *AdmissionStats `json:"admission,omitempty"`
@@ -271,7 +241,7 @@ func nearestRank(q float64, n int) int {
 }
 
 // snapshot computes the quantiles over the current window.
-func (m *metrics) snapshot(cacheEntries int) Stats {
+func (m *metrics) snapshot() Stats {
 	m.mu.Lock()
 	lat := make([]time.Duration, len(m.lat))
 	copy(lat, m.lat)
@@ -290,16 +260,11 @@ func (m *metrics) snapshot(cacheEntries int) Stats {
 		CacheMisses:          m.misses,
 		Coalesced:            m.coalesced,
 		Errors:               m.errors,
-		CacheEntries:         cacheEntries,
 		StreamRequests:       m.streams,
 		StreamedChanges:      m.streamedChanges,
 		SnapshotsSaved:       m.snapshotsSaved,
 		SnapshotHits:         m.snapshotHits,
 		SnapshotMisses:       m.snapshotMisses,
-		SimInterpreterRuns:   m.simInterpCount,
-		SimInterpreterSum:    m.simInterpSum,
-		SimCompiledRuns:      m.simCompiledCount,
-		SimCompiledSum:       m.simCompiledSum,
 		LatencySum:           m.latSum,
 	}
 	m.mu.Unlock()

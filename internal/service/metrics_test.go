@@ -56,7 +56,7 @@ func TestNearestRankQuantiles(t *testing.T) {
 			for _, d := range shuffled {
 				m.observe(d, outcomeMiss)
 			}
-			st := m.snapshot(0)
+			st := m.snapshot()
 			if st.P50 != tc.p50 {
 				t.Errorf("P50 = %v, want %v", st.P50, tc.p50)
 			}

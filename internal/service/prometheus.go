@@ -54,8 +54,6 @@ func promText(st Stats) string {
 	sample("eblocksd_coalesced_requests_total", "", st.Coalesced)
 	counter("eblocksd_request_errors_total", "Requests that failed.")
 	sample("eblocksd_request_errors_total", "", st.Errors)
-	gauge("eblocksd_cache_entries", "Responses resident in the in-process LRU.")
-	sample("eblocksd_cache_entries", "", st.CacheEntries)
 
 	counter("eblocksd_stream_requests_total", "Streamed simulate runs (NDJSON or VCD).")
 	sample("eblocksd_stream_requests_total", "", st.StreamRequests)
@@ -66,12 +64,6 @@ func promText(st Stats) string {
 	counter("eblocksd_snapshot_lookups_total", "Resume-from-checkpoint lookups, by outcome.")
 	sample("eblocksd_snapshot_lookups_total", `outcome="hit"`, st.SnapshotHits)
 	sample("eblocksd_snapshot_lookups_total", `outcome="miss"`, st.SnapshotMisses)
-	counter("eblocksd_simulate_runs_total", "Simulate runs by evaluator mode.")
-	sample("eblocksd_simulate_runs_total", `mode="interpreter"`, st.SimInterpreterRuns)
-	sample("eblocksd_simulate_runs_total", `mode="compiled"`, st.SimCompiledRuns)
-	counter("eblocksd_simulate_latency_seconds_sum", "Cumulative simulate wall time by evaluator mode.")
-	sample("eblocksd_simulate_latency_seconds_sum", `mode="interpreter"`, secs(st.SimInterpreterSum))
-	sample("eblocksd_simulate_latency_seconds_sum", `mode="compiled"`, secs(st.SimCompiledSum))
 
 	fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s summary\n",
 		"eblocksd_request_latency_seconds",
@@ -97,64 +89,63 @@ func promText(st Stats) string {
 		sample("eblocksd_admission_inflight_limit", "", as.MaxInflight)
 	}
 
-	if ss := st.Store; ss != nil {
-		gauge("eblocksd_store_entries", "Artifacts resident in the store's disk tier.")
-		sample("eblocksd_store_entries", "", ss.Entries)
-		gauge("eblocksd_store_bytes", "Bytes used by the store's disk tier (entry files, headers included).")
-		sample("eblocksd_store_bytes", "", ss.BytesUsed)
-		gauge("eblocksd_store_mem_entries", "Artifacts resident in the store's memory tier.")
-		sample("eblocksd_store_mem_entries", "", ss.MemEntries)
-		gauge("eblocksd_store_mem_bytes", "Payload bytes resident in the store's memory tier.")
-		sample("eblocksd_store_mem_bytes", "", ss.MemBytesUsed)
+	ss := st.Store
+	gauge("eblocksd_store_entries", "Artifacts resident in the store's disk tier.")
+	sample("eblocksd_store_entries", "", ss.Entries)
+	gauge("eblocksd_store_bytes", "Bytes used by the store's disk tier (entry files, headers included).")
+	sample("eblocksd_store_bytes", "", ss.BytesUsed)
+	gauge("eblocksd_store_mem_entries", "Artifacts resident in the store's memory tier.")
+	sample("eblocksd_store_mem_entries", "", ss.MemEntries)
+	gauge("eblocksd_store_mem_bytes", "Payload bytes resident in the store's memory tier.")
+	sample("eblocksd_store_mem_bytes", "", ss.MemBytesUsed)
 
-		// Per-stage disk occupancy, for tuning -store-max-bytes against
-		// the workload's actual artifact mix. Stages are emitted in
-		// sorted order so scrapes diff cleanly.
-		if len(ss.Stages) > 0 {
-			stages := make([]string, 0, len(ss.Stages))
-			for stage := range ss.Stages {
-				stages = append(stages, stage)
-			}
-			sort.Strings(stages)
-			gauge("eblocksd_store_stage_entries", "Artifacts resident in the store's disk tier, by pipeline stage.")
-			for _, stage := range stages {
-				sample("eblocksd_store_stage_entries", fmt.Sprintf("stage=%q", stage), ss.Stages[stage].Entries)
-			}
-			gauge("eblocksd_store_stage_bytes", "Bytes used by the store's disk tier, by pipeline stage.")
-			for _, stage := range stages {
-				sample("eblocksd_store_stage_bytes", fmt.Sprintf("stage=%q", stage), ss.Stages[stage].Bytes)
-			}
+	// Per-stage disk occupancy, for tuning -store-max-bytes against
+	// the workload's actual artifact mix. Stages are emitted in
+	// sorted order so scrapes diff cleanly.
+	if len(ss.Stages) > 0 {
+		stages := make([]string, 0, len(ss.Stages))
+		for stage := range ss.Stages {
+			stages = append(stages, stage)
 		}
-
-		counter("eblocksd_store_hits_total", "Store lookups served, by the tier that answered.")
-		sample("eblocksd_store_hits_total", `tier="memory"`, ss.MemoryHits)
-		sample("eblocksd_store_hits_total", `tier="disk"`, ss.DiskHits)
-		sample("eblocksd_store_hits_total", `tier="remote"`, ss.RemoteHits)
-		counter("eblocksd_store_misses_total", "Store lookups that missed every tier.")
-		sample("eblocksd_store_misses_total", "", ss.Misses)
-		counter("eblocksd_store_puts_total", "Artifacts written to the store locally.")
-		sample("eblocksd_store_puts_total", "", ss.Puts)
-		counter("eblocksd_store_evictions_total", "Entries evicted by the disk size bound.")
-		sample("eblocksd_store_evictions_total", "", ss.Evictions)
-		counter("eblocksd_store_corrupt_evicted_total", "Entries evicted because their checksum or framing failed on read.")
-		sample("eblocksd_store_corrupt_evicted_total", "", ss.CorruptEvicted)
-		counter("eblocksd_store_origin_requests_total", "Remote-protocol requests served by this instance as a shared origin, by operation.")
-		sample("eblocksd_store_origin_requests_total", `op="get"`, ss.OriginGets)
-		sample("eblocksd_store_origin_requests_total", `op="put"`, ss.OriginPuts)
-
-		counter("eblocksd_store_remote_dropped_writes_total", "Write-throughs shed because the bounded async pool was saturated.")
-		sample("eblocksd_store_remote_dropped_writes_total", "", ss.RemoteDroppedWrites)
-
-		if rs := ss.Remote; rs != nil {
-			counter("eblocksd_store_remote_fetches_total", "Lookups sent to the remote origin.")
-			sample("eblocksd_store_remote_fetches_total", "", rs.Gets)
-			counter("eblocksd_store_remote_fetch_hits_total", "Remote-origin lookups that returned a verified entry.")
-			sample("eblocksd_store_remote_fetch_hits_total", "", rs.Hits)
-			counter("eblocksd_store_remote_writes_total", "Artifacts written through to the remote origin.")
-			sample("eblocksd_store_remote_writes_total", "", rs.Puts)
-			counter("eblocksd_store_remote_errors_total", "Remote-origin operations that failed and degraded to local-only.")
-			sample("eblocksd_store_remote_errors_total", "", rs.Errors)
+		sort.Strings(stages)
+		gauge("eblocksd_store_stage_entries", "Artifacts resident in the store's disk tier, by pipeline stage.")
+		for _, stage := range stages {
+			sample("eblocksd_store_stage_entries", fmt.Sprintf("stage=%q", stage), ss.Stages[stage].Entries)
 		}
+		gauge("eblocksd_store_stage_bytes", "Bytes used by the store's disk tier, by pipeline stage.")
+		for _, stage := range stages {
+			sample("eblocksd_store_stage_bytes", fmt.Sprintf("stage=%q", stage), ss.Stages[stage].Bytes)
+		}
+	}
+
+	counter("eblocksd_store_hits_total", "Store lookups served, by the tier that answered.")
+	sample("eblocksd_store_hits_total", `tier="memory"`, ss.MemoryHits)
+	sample("eblocksd_store_hits_total", `tier="disk"`, ss.DiskHits)
+	sample("eblocksd_store_hits_total", `tier="remote"`, ss.RemoteHits)
+	counter("eblocksd_store_misses_total", "Store lookups that missed every tier.")
+	sample("eblocksd_store_misses_total", "", ss.Misses)
+	counter("eblocksd_store_puts_total", "Artifacts written to the store locally.")
+	sample("eblocksd_store_puts_total", "", ss.Puts)
+	counter("eblocksd_store_evictions_total", "Entries evicted by the disk size bound.")
+	sample("eblocksd_store_evictions_total", "", ss.Evictions)
+	counter("eblocksd_store_corrupt_evicted_total", "Entries evicted because their checksum or framing failed on read.")
+	sample("eblocksd_store_corrupt_evicted_total", "", ss.CorruptEvicted)
+	counter("eblocksd_store_origin_requests_total", "Remote-protocol requests served by this instance as a shared origin, by operation.")
+	sample("eblocksd_store_origin_requests_total", `op="get"`, ss.OriginGets)
+	sample("eblocksd_store_origin_requests_total", `op="put"`, ss.OriginPuts)
+
+	counter("eblocksd_store_remote_dropped_writes_total", "Write-throughs shed because the bounded async pool was saturated.")
+	sample("eblocksd_store_remote_dropped_writes_total", "", ss.RemoteDroppedWrites)
+
+	if rs := ss.Remote; rs != nil {
+		counter("eblocksd_store_remote_fetches_total", "Lookups sent to the remote origin.")
+		sample("eblocksd_store_remote_fetches_total", "", rs.Gets)
+		counter("eblocksd_store_remote_fetch_hits_total", "Remote-origin lookups that returned a verified entry.")
+		sample("eblocksd_store_remote_fetch_hits_total", "", rs.Hits)
+		counter("eblocksd_store_remote_writes_total", "Artifacts written through to the remote origin.")
+		sample("eblocksd_store_remote_writes_total", "", rs.Puts)
+		counter("eblocksd_store_remote_errors_total", "Remote-origin operations that failed and degraded to local-only.")
+		sample("eblocksd_store_remote_errors_total", "", rs.Errors)
 	}
 	return b.String()
 }

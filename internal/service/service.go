@@ -19,29 +19,19 @@ import (
 
 // Config tunes a Service.
 type Config struct {
-	// CacheSize is the maximum number of cached synthesis results
-	// held in memory (default 256). Each entry holds one Response.
-	CacheSize int
 	// Workers bounds the batch API's worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// Store, when non-nil, is the persistent second cache tier:
-	// responses and partition-, verified- and design-stage artifacts
-	// are written through to it and served from it after a restart (or
-	// after memory-tier eviction). Nil means memory-only caching, as
-	// before.
+	// Store is the service's cache: responses and partition-,
+	// verified-, design-, negative- and checkpoint-stage artifacts are
+	// written to it and served from its tiers (memory, then disk, then
+	// the remote origin). Nil means a memory-only store with the
+	// default memory budget (store.Open with no directory).
 	Store *store.Store
 	// SimMaxEvents caps the event budget of simulation and
 	// verification requests (sim.Config.MaxEvents): requests may lower
 	// the budget beneath the cap but never raise it above. 0 leaves
 	// the simulator default (1,000,000) as the effective ceiling.
 	SimMaxEvents int
-	// SimInterpreter opts the service out of compiled-by-default
-	// simulation: when set, simulate requests run on the tree-walking
-	// interpreter instead of the bytecode VM. The two evaluators are
-	// semantically identical (property-tested), so this is purely an
-	// escape hatch — the VM is several times faster on synthesized
-	// (merged-program) designs and is the default.
-	SimInterpreter bool
 	// StoreAuthToken, when non-empty, gates the shared-origin
 	// /v1/store routes behind "Authorization: Bearer <token>" (see
 	// store.AuthMiddleware). Fleets whose members set the same token
@@ -68,13 +58,6 @@ type Config struct {
 	// a client may briefly exceed the steady-state rate. 0 defaults to
 	// ceil(2*QuotaRPS), minimum 1.
 	QuotaBurst int
-}
-
-func (c Config) cacheSize() int {
-	if c.CacheSize <= 0 {
-		return 256
-	}
-	return c.CacheSize
 }
 
 func (c Config) workers() int {
@@ -112,11 +95,6 @@ type Service struct {
 	cfg   Config
 	store *store.Store
 
-	// cacheMu guards cache, the in-process LRU over full synthesis
-	// responses (the first tier above the store).
-	cacheMu sync.Mutex
-	cache   *lru
-
 	stats metrics
 	// sem bounds concurrent batch synthesis work across ALL
 	// SynthesizeAll calls, so parallel /v1/batch requests cannot
@@ -148,37 +126,44 @@ type synthOutcome struct {
 	tier store.Tier
 }
 
-// New builds a Service.
+// New builds a Service, over a memory-only store when cfg.Store is
+// nil.
 func New(cfg Config) *Service {
+	st := cfg.Store
+	if st == nil {
+		// Opening a memory-only store without a remote cannot fail.
+		st, _ = store.Open("", store.Options{})
+	}
 	return &Service{
 		cfg:          cfg,
-		store:        cfg.Store,
-		cache:        newLRU(cfg.cacheSize()),
+		store:        st,
 		sem:          make(chan struct{}, cfg.workers()),
 		partInflight: map[string]chan struct{}{},
 		adm:          newAdmission(cfg),
 	}
 }
 
-// cachedResponse checks the in-process LRU.
-func (s *Service) cachedResponse(key string) (*Response, bool) {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	return s.cache.get(key)
+// loadResponse decodes the full response cached for sk and reports the
+// store tier that held it.
+func (s *Service) loadResponse(sk synth.StageKey) (*Response, store.Tier, bool) {
+	raw, tier, ok := s.store.Get(storeKey(sk, stageResponse))
+	if !ok {
+		return nil, store.TierNone, false
+	}
+	var r Response
+	if json.Unmarshal(raw, &r) != nil {
+		return nil, store.TierNone, false
+	}
+	return &r, tier, true
 }
 
-// cacheResponse installs a response in the in-process LRU.
-func (s *Service) cacheResponse(key string, r *Response) {
-	s.cacheMu.Lock()
-	s.cache.add(key, r)
-	s.cacheMu.Unlock()
-}
-
-// cacheLen reports the LRU's current size.
-func (s *Service) cacheLen() int {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	return s.cache.len()
+// saveResponse caches a computed response for sk. Store write
+// failures are swallowed: caching is an optimization, never a
+// correctness dependency.
+func (s *Service) saveResponse(sk synth.StageKey, r *Response) {
+	if raw, err := json.Marshal(r); err == nil {
+		s.store.Put(storeKey(sk, stageResponse), raw)
+	}
 }
 
 // Request names one synthesis job: a design plus the knobs that affect
@@ -211,9 +196,9 @@ const (
 	// SourceMiss: the response was computed by this request (or by a
 	// concurrent identical request it coalesced onto).
 	SourceMiss Source = iota
-	// SourceMemory: served from the in-process response cache.
+	// SourceMemory: served from the store's memory tier.
 	SourceMemory
-	// SourceDisk: loaded from the persistent store (and promoted to
+	// SourceDisk: loaded from the store's disk tier (and promoted to
 	// the memory tier).
 	SourceDisk
 	// SourceRemote: fetched from the fleet's shared remote origin (and
@@ -239,6 +224,21 @@ func (s Source) String() string {
 // Cached reports whether the response was served without running the
 // synthesis pipeline in this process.
 func (s Source) Cached() bool { return s != SourceMiss }
+
+// served maps the store tier that held a result onto its Source and
+// its stats outcome; TierNone means the result was computed.
+func served(t store.Tier) (Source, outcome) {
+	switch t {
+	case store.TierMemory:
+		return SourceMemory, outcomeMemoryHit
+	case store.TierDisk:
+		return SourceDisk, outcomeDiskHit
+	case store.TierRemote:
+		return SourceRemote, outcomeRemoteHit
+	default:
+		return SourceMiss, outcomeMiss
+	}
+}
 
 // stageResponse names full synthesis responses in the artifact store;
 // partition artifacts use synth.StagePartitioned. The suffix is the
@@ -274,7 +274,7 @@ func designStoreKey(fingerprint string) store.Key {
 }
 
 // stages is the per-request synth.StageCache adapter over the
-// persistent store. It records the tier that served the last hit so
+// artifact store. It records the tier that served the last hit so
 // handlers can label partition responses; a fresh value is used per
 // request, so the field is race-free.
 type stages struct {
@@ -284,9 +284,6 @@ type stages struct {
 
 // GetStage implements synth.StageCache over the artifact store.
 func (a *stages) GetStage(stage string, key synth.StageKey) ([]byte, bool) {
-	if a.store == nil {
-		return nil, false
-	}
 	data, tier, ok := a.store.Get(storeKey(key, stage))
 	if ok {
 		a.tier = tier
@@ -298,20 +295,7 @@ func (a *stages) GetStage(stage string, key synth.StageKey) ([]byte, bool) {
 // Store write failures are deliberately swallowed: persistence is an
 // optimization, never a correctness dependency.
 func (a *stages) PutStage(stage string, key synth.StageKey, data []byte) {
-	if a.store != nil {
-		a.store.Put(storeKey(key, stage), data)
-	}
-}
-
-// stageCache builds the pipeline's stage-cache adapter, or a nil
-// interface when no store is configured — nil makes PartitionCached
-// skip result encoding entirely, so memory-only deployments pay no
-// serialization cost on the cold path.
-func (s *Service) stageCache() synth.StageCache {
-	if s.store == nil {
-		return nil
-	}
-	return &stages{store: s.store}
+	a.store.Put(storeKey(key, stage), data)
 }
 
 // StageCacheOver adapts a persistent store into the synthesis
@@ -328,12 +312,15 @@ func StageCacheOver(st *store.Store) synth.StageCache {
 
 // Synthesize runs (or serves from cache) one synthesis job, reporting
 // the tier that served it; cached responses — memory, disk or remote —
-// are byte-for-byte identical to cold ones. The context gates
-// admission and waiting (a request whose context is already cancelled
-// fails fast, and a coalesced waiter whose client disconnects stops
-// waiting), but a cold run, once started, is completed and cached
-// detached from the originating context — so a client disconnect can
-// never poison the coalesced requests waiting on the same flight.
+// are byte-for-byte identical to cold ones. Identical concurrent
+// requests share one flight, which reads the store once and computes
+// only on a miss, so a coalesced waiter reports the flight's tier. The
+// context gates admission and waiting (a request whose context is
+// already cancelled fails fast, and a coalesced waiter whose client
+// disconnects stops waiting), but a cold run, once started, is
+// completed and cached detached from the originating context — so a
+// client disconnect can never poison the coalesced requests waiting on
+// the same flight.
 func (s *Service) Synthesize(ctx context.Context, req Request) (*Response, Source, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -346,33 +333,13 @@ func (s *Service) Synthesize(ctx context.Context, req Request) (*Response, Sourc
 		return nil, SourceMiss, err
 	}
 	sk := ca.StageKey()
-	key := sk.String()
 
-	if resp, ok := s.cachedResponse(key); ok {
-		s.stats.observe(time.Since(start), outcomeMemoryHit)
-		return resp, SourceMemory, nil
-	}
-
-	out, coalesced, err := s.synthGroup.Do(ctx, key, func() (synthOutcome, error) {
-		// Recheck the LRU now that this call owns the flight: the
-		// cache probe above and the flight admission are not one
-		// atomic step, so a winner that completed in between has
-		// already cached the response this call would recompute.
-		if resp, ok := s.cachedResponse(key); ok {
-			return synthOutcome{resp: resp, tier: store.TierMemory}, nil
-		}
-		// Second tier next: a response persisted by an earlier
-		// process (or evicted from memory) — or by another instance of
-		// the fleet, via the store's remote tier — skips synthesis
-		// entirely.
-		if s.store != nil {
-			if raw, tier, ok := s.store.Get(storeKey(sk, stageResponse)); ok {
-				var r Response
-				if err := json.Unmarshal(raw, &r); err == nil {
-					s.cacheResponse(key, &r)
-					return synthOutcome{resp: &r, tier: tier}, nil
-				}
-			}
+	out, coalesced, err := s.synthGroup.Do(ctx, sk.String(), func() (synthOutcome, error) {
+		// A response cached by this process, persisted by an earlier
+		// one, or written by another instance of the fleet (the
+		// store's remote tier) skips synthesis entirely.
+		if r, tier, ok := s.loadResponse(sk); ok {
+			return synthOutcome{resp: r, tier: tier}, nil
 		}
 		// Negative cache: a marker from an earlier identical request that
 		// failed with the typed infeasibility error short-circuits the
@@ -385,7 +352,7 @@ func (s *Service) Synthesize(ctx context.Context, req Request) (*Response, Sourc
 		// caching — a cold synthesis populates the store with each
 		// partition's merge artifact, which is what later /v1/delta
 		// requests adopt.
-		cache := s.stageCache()
+		cache := &stages{store: s.store}
 		pt, _, err := ca.PartitionCached(context.WithoutCancel(ctx), cache)
 		if err != nil {
 			return synthOutcome{}, s.noteInfeasible(sk, err)
@@ -403,27 +370,16 @@ func (s *Service) Synthesize(ctx context.Context, req Request) (*Response, Sourc
 		if err != nil {
 			return synthOutcome{}, err
 		}
-		if s.store != nil {
-			if raw, err := json.Marshal(r); err == nil {
-				s.store.Put(storeKey(sk, stageResponse), raw)
-			}
-		}
-		s.cacheResponse(key, r)
+		s.saveResponse(sk, r)
 		return synthOutcome{resp: r, tier: store.TierNone}, nil
 	})
 
-	source, o := SourceMiss, outcomeMiss
+	source, o := served(out.tier)
 	switch {
 	case err != nil:
 		o = outcomeError
 	case coalesced:
 		o = outcomeCoalesced
-	case out.tier == store.TierMemory:
-		source, o = SourceMemory, outcomeMemoryHit
-	case out.tier == store.TierDisk:
-		source, o = SourceDisk, outcomeDiskHit
-	case out.tier == store.TierRemote:
-		source, o = SourceRemote, outcomeRemoteHit
 	}
 	s.stats.observe(time.Since(start), o)
 	return out.resp, source, err
@@ -455,13 +411,12 @@ func (s *Service) SynthesizeAll(ctx context.Context, reqs []Request) ([]*Respons
 
 // Partition runs the capture and partition stages only — no merge, no
 // emit — and reports the partitioning plus the tier that served it.
-// With a persistent store configured, partition artifacts are cached
-// at stage granularity (stage "partitioned"), independently of full
-// responses — a partition computed here is reused by a later full
-// synthesis of the same job, and vice versa, across restarts — and
-// identical concurrent partition requests coalesce onto a single
-// computation. Without a store, partition requests are uncached and
-// uncoalesced (they are cheap relative to full synthesis).
+// Partition artifacts are cached at stage granularity (stage
+// synth.StagePartitioned), independently of full responses — a
+// partition computed here is reused by a later full synthesis of the
+// same job, and vice versa, across restarts when the store has a disk
+// — and identical concurrent partition requests coalesce onto a single
+// computation.
 func (s *Service) Partition(ctx context.Context, req Request) (*PartitionResponse, Source, error) {
 	start := time.Now()
 	ca, err := synth.Capture(req.Design, req.synthOptions())
@@ -469,80 +424,57 @@ func (s *Service) Partition(ctx context.Context, req Request) (*PartitionRespons
 		s.stats.observe(time.Since(start), outcomeError)
 		return nil, SourceMiss, err
 	}
-	// The concrete adapter is kept (when a store exists) to recover
-	// which tier served a hit; a nil interface goes to the pipeline
-	// when there is no store, skipping encoding on the cold path.
-	var st *stages
-	var cache synth.StageCache
-	if s.store != nil {
-		st = &stages{store: s.store}
-		cache = st
-
-		// Coalesce identical concurrent partition computations: the
-		// first request through computes and writes the stage artifact;
-		// the rest wait on its channel and then serve from the store
-		// the winner just populated (each decodes against its own
-		// design build). This is deliberately looser than the
-		// flight.Group-based flights: no result or error is shared, so a
-		// waiter whose winner failed (or panicked — the deferred close
-		// still runs) simply falls through to computing itself. The
-		// inflight key matches the stage artifact's own key — the
-		// structural fingerprint — so requests that differ only in
-		// parameters (same partitioning) coalesce too.
-		k := ca.StructKey().String()
-		s.partMu.Lock()
-		if ch, inflight := s.partInflight[k]; inflight {
-			s.partMu.Unlock()
-			select {
-			case <-ch:
-			case <-ctx.Done():
-				s.stats.observe(time.Since(start), outcomeError)
-				return nil, SourceMiss, ctx.Err()
-			}
-		} else {
-			ch = make(chan struct{})
-			s.partInflight[k] = ch
-			s.partMu.Unlock()
-			defer func() {
-				s.partMu.Lock()
-				delete(s.partInflight, k)
-				s.partMu.Unlock()
-				close(ch)
-			}()
+	// Coalesce identical concurrent partition computations: the first
+	// request through computes and writes the stage artifact; the rest
+	// wait on its channel and then serve from the store the winner just
+	// populated (each decodes against its own design build). This is
+	// deliberately looser than the flight.Group-based flights: no
+	// result or error is shared, so a waiter whose winner failed (or
+	// panicked — the deferred close still runs) simply falls through to
+	// computing itself. The inflight key matches the stage artifact's
+	// own key — the structural fingerprint — so requests that differ
+	// only in parameters (same partitioning) coalesce too.
+	k := ca.StructKey().String()
+	s.partMu.Lock()
+	if ch, inflight := s.partInflight[k]; inflight {
+		s.partMu.Unlock()
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			s.stats.observe(time.Since(start), outcomeError)
+			return nil, SourceMiss, ctx.Err()
 		}
+	} else {
+		ch = make(chan struct{})
+		s.partInflight[k] = ch
+		s.partMu.Unlock()
+		defer func() {
+			s.partMu.Lock()
+			delete(s.partInflight, k)
+			s.partMu.Unlock()
+			close(ch)
+		}()
 	}
-	pt, hit, err := ca.PartitionCached(ctx, cache)
+	st := &stages{store: s.store}
+	pt, hit, err := ca.PartitionCached(ctx, st)
 	if err != nil {
 		s.stats.observe(time.Since(start), outcomeError)
 		return nil, SourceMiss, err
 	}
-	// Without a store, partition requests are outside the cache's
-	// scope (outcomeUncached); with one they are cacheable and count
-	// as per-tier hits or misses like any other request.
-	source, o := SourceMiss, outcomeUncached
-	switch {
-	case hit && st.tier == store.TierMemory:
-		source, o = SourceMemory, outcomeMemoryHit
-	case hit && st.tier == store.TierDisk:
-		source, o = SourceDisk, outcomeDiskHit
-	case hit && st.tier == store.TierRemote:
-		source, o = SourceRemote, outcomeRemoteHit
-	case s.store != nil:
-		o = outcomeMiss
+	tier := store.TierNone
+	if hit {
+		tier = st.tier
 	}
+	source, o := served(tier)
 	resp := partitionSummary(ca, pt.Result)
 	s.stats.observe(time.Since(start), o)
 	return &resp, source, nil
 }
 
-// Stats snapshots the service counters (including the persistent
-// store's, when one is configured).
+// Stats snapshots the service counters, including the store's.
 func (s *Service) Stats() Stats {
-	st := s.stats.snapshot(s.cacheLen())
-	if s.store != nil {
-		ss := s.store.Stats()
-		st.Store = &ss
-	}
+	st := s.stats.snapshot()
+	st.Store = s.store.Stats()
 	if s.adm != nil {
 		st.Admission = s.adm.snapshot()
 	}

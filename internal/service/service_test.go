@@ -10,6 +10,7 @@ import (
 	"repro/internal/designs"
 	"repro/internal/netlist"
 	"repro/internal/randgen"
+	"repro/internal/store"
 	"repro/internal/synth"
 )
 
@@ -165,7 +166,14 @@ func TestSynthesizeConcurrent(t *testing.T) {
 		baseline[name] = string(raw)
 	}
 
-	s := New(Config{CacheSize: 2}) // small cache: force evictions under load
+	// A memory-only store too small for the four designs' artifacts:
+	// evictions under load.
+	const memBudget = 16 << 10
+	mem, err := store.Open("", store.Options{MemBytes: memBudget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Store: mem})
 	const goroutines = 16
 	const rounds = 10
 	var wg sync.WaitGroup
@@ -199,8 +207,11 @@ func TestSynthesizeConcurrent(t *testing.T) {
 	if st.Requests != goroutines*rounds {
 		t.Errorf("requests = %d, want %d", st.Requests, goroutines*rounds)
 	}
-	if st.CacheEntries > 2 {
-		t.Errorf("cache grew past its capacity: %d entries", st.CacheEntries)
+	if st.Store.MemBytesUsed > memBudget {
+		t.Errorf("memory tier grew past its budget: %d bytes", st.Store.MemBytesUsed)
+	}
+	if st.CacheMisses <= uint64(len(names)) {
+		t.Errorf("cache misses = %d: the working set never outgrew the memory tier", st.CacheMisses)
 	}
 	if st.Errors != 0 {
 		t.Errorf("errors = %d", st.Errors)
@@ -254,33 +265,12 @@ func TestPartitionOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	if src.Cached() {
-		t.Errorf("partition with no store reported source %v", src)
+		t.Errorf("first partition request reported source %v", src)
 	}
 	if resp.InnerBefore != 8 || resp.InnerAfter != 3 {
 		t.Errorf("partition summary = %d -> %d, want 8 -> 3", resp.InnerBefore, resp.InnerAfter)
 	}
 	if len(resp.Partitions) == 0 || resp.DesignHash == "" {
 		t.Errorf("partition response incomplete: %+v", resp)
-	}
-}
-
-func TestLRUEviction(t *testing.T) {
-	c := newLRU(2)
-	resp := func(name string) *Response {
-		return &Response{PartitionResponse: PartitionResponse{Design: name}}
-	}
-	a, b, d := resp("a"), resp("b"), resp("d")
-	c.add("a", a)
-	c.add("b", b)
-	c.get("a") // promote a; b is now LRU
-	c.add("d", d)
-	if _, ok := c.get("b"); ok {
-		t.Error("LRU entry survived eviction")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Error("recently used entry was evicted")
-	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
 	}
 }

@@ -68,13 +68,13 @@ func (s *Service) capSimEvents(requested int) int {
 
 // applySimDefaults normalizes a request's simulator configuration to
 // service policy: the event budget is capped by Config.SimMaxEvents,
-// and the evaluator is the bytecode VM unless the server opted out
-// (Config.SimInterpreter). Forcing Compiled is safe — it is excluded
-// from Config.Canonical because the two evaluators produce identical
-// traces — so requests cannot pick the slow path by accident.
+// and the evaluator is always the bytecode VM. Forcing Compiled is
+// safe — it is excluded from Config.Canonical because the two
+// evaluators produce identical traces — so requests cannot pick the
+// slow path by accident.
 func (s *Service) applySimDefaults(c sim.Config) sim.Config {
 	c.MaxEvents = s.capSimEvents(c.MaxEvents)
-	c.Compiled = !s.cfg.SimInterpreter
+	c.Compiled = true
 	return c
 }
 
@@ -110,7 +110,6 @@ func (s *Service) Simulate(ctx context.Context, job SimulateJob) (*SimulateRespo
 		o = outcomeCoalesced
 	}
 	s.stats.observeClass(time.Since(start), o, classSimulate)
-	s.stats.observeSimMode(time.Since(start), job.Config.Compiled)
 	return resp, coalesced, err
 }
 
@@ -154,26 +153,20 @@ func runSimulation(fingerprint, stimulusHash string, job SimulateJob) (*Simulate
 
 // PersistDesign writes the design document to the artifact store under
 // its fingerprint (stage "design.v1") and returns that fingerprint.
-// With no store configured it only computes the fingerprint. Write
-// failures are swallowed like every other store write: persistence is
-// an optimization, never a correctness dependency.
+// Write failures are swallowed like every other store write:
+// persistence is an optimization, never a correctness dependency.
 func (s *Service) PersistDesign(d *netlist.Design) string {
 	fp := netlist.Fingerprint(d)
-	if s.store != nil {
-		if raw, err := netlist.MarshalJSON(d); err == nil {
-			s.store.Put(designStoreKey(fp), raw)
-		}
+	if raw, err := netlist.MarshalJSON(d); err == nil {
+		s.store.Put(designStoreKey(fp), raw)
 	}
 	return fp
 }
 
 // DesignByFingerprint loads a previously persisted design document by
-// content address. It fails when no store is configured or the
-// fingerprint is unknown (ErrUnknownFingerprint).
+// content address. It fails with ErrUnknownFingerprint when the store
+// does not hold the fingerprint (never written, or evicted).
 func (s *Service) DesignByFingerprint(fp string) (*netlist.Design, error) {
-	if s.store == nil {
-		return nil, fmt.Errorf("%w: no persistent store configured", ErrUnknownFingerprint)
-	}
 	raw, _, ok := s.store.Get(designStoreKey(fp))
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownFingerprint, fp)

@@ -3,15 +3,20 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/designs"
+	"repro/internal/sim"
 	"repro/internal/store"
-	"repro/internal/synth"
 )
 
 func openStore(t *testing.T, dir string) *store.Store {
@@ -65,7 +70,7 @@ func TestRestartServesByteIdenticalFromDisk(t *testing.T) {
 	if stats.DiskHits != 1 || stats.MemoryHits != 1 {
 		t.Errorf("per-tier hits = disk %d / memory %d, want 1 / 1", stats.DiskHits, stats.MemoryHits)
 	}
-	if stats.Store == nil || stats.Store.Entries == 0 {
+	if stats.Store.Entries == 0 {
 		t.Errorf("stats.Store not populated: %+v", stats.Store)
 	}
 }
@@ -230,14 +235,12 @@ func TestBatchWithStore(t *testing.T) {
 	}
 }
 
-// TestStageCacheAdapterNilStore checks the adapter is inert without a
-// store (every Get misses, every Put is dropped).
-func TestStageCacheAdapterNilStore(t *testing.T) {
-	a := &stages{}
-	key := synth.StageKey{Fingerprint: "fp", Constraints: "2x2|convex=true", Algorithm: "paredown"}
-	a.PutStage(synth.StagePartitioned, key, []byte("x"))
-	if _, ok := a.GetStage(synth.StagePartitioned, key); ok {
-		t.Error("nil-store adapter reported a hit")
+// TestStageCacheOverNilStore checks that stage caching over no store
+// is off: StageCacheOver(nil) is the nil cache, which the pipeline
+// treats as "compute every stage".
+func TestStageCacheOverNilStore(t *testing.T) {
+	if c := StageCacheOver(nil); c != nil {
+		t.Errorf("StageCacheOver(nil) = %T, want a nil cache", c)
 	}
 }
 
@@ -280,5 +283,94 @@ func TestPartitionCoalesces(t *testing.T) {
 	}
 	if ss := st.Stats(); ss.Puts != 1 {
 		t.Errorf("store puts = %d, want exactly 1 (coalesced computation)", ss.Puts)
+	}
+}
+
+// TestMemoryOnlyService: a service given no store runs over a
+// memory-only one and gets the caches a disk-backed service has —
+// repeated partition and verify requests are served from the memory
+// tier, a design resolves by fingerprint, and a checkpointed stream
+// resumes — while the shared-origin routes, which serve framed disk
+// entries, answer 404.
+func TestMemoryOnlyService(t *testing.T) {
+	_, ts := newTestServer(t)
+
+	for _, tc := range []struct {
+		route string
+		body  any
+	}{
+		{"/v1/partition", JSONRequest{Design: designJSON(t, "Podium Timer 3")}},
+		{"/v1/verify", verifyReq(t, "Night Lamp Controller")},
+	} {
+		resp, cold := postJSON(t, ts.URL+tc.route, tc.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.route, resp.StatusCode, cold)
+		}
+		if got := resp.Header.Get("X-Cache"); got != "miss" {
+			t.Errorf("%s: cold X-Cache = %q, want miss", tc.route, got)
+		}
+		resp, warm := postJSON(t, ts.URL+tc.route, tc.body)
+		if got := resp.Header.Get("X-Cache"); got != "memory" {
+			t.Errorf("%s: repeated X-Cache = %q, want memory", tc.route, got)
+		}
+		if !bytes.Equal(cold, warm) {
+			t.Errorf("%s: memory-served body differs from cold body", tc.route)
+		}
+	}
+
+	// Design by fingerprint: an inline simulate request stores the
+	// design, and the same run by content address is identical.
+	raw, _ := chainDesign(t)
+	script := toggleScript(250, 3750)
+	sreq := SimulateJSONRequest{Design: raw, Script: script, Until: 2000}
+	resp, inline := postJSON(t, ts.URL+"/v1/simulate", sreq)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("simulate: status %d: %s", resp.StatusCode, inline)
+	}
+	var sr SimulateResponse
+	if err := json.Unmarshal(inline, &sr); err != nil {
+		t.Fatal(err)
+	}
+	resp, byFP := postJSON(t, ts.URL+"/v1/simulate", SimulateJSONRequest{Fingerprint: sr.DesignHash, Script: script, Until: 2000})
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(inline, byFP) {
+		t.Errorf("simulate by fingerprint: status %d, body differs from inline: %s", resp.StatusCode, byFP)
+	}
+
+	// Resume: the checkpoints of a streamed run stay in memory, and a
+	// resumed run continues the reference trace exactly.
+	sreq.Until = 4000
+	sresp := streamPost(t, ts.URL+"/v1/simulate?stream=ndjson&checkpointEvery=1000", sreq)
+	ref, recs := readStream(t, sresp.Body)
+	sresp.Body.Close()
+	for _, ck := range recsOfType(recs, "checkpoint") {
+		if ck.Stored == nil || !*ck.Stored {
+			t.Errorf("checkpoint at %d not stored", ck.Cycle)
+		}
+	}
+	rresp := streamPost(t, ts.URL+"/v1/simulate/resume", ResumeJSONRequest{Fingerprint: sr.DesignHash, Cycle: 2000, Until: 4000, Script: script})
+	defer rresp.Body.Close()
+	if rresp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(rresp.Body)
+		t.Fatalf("resume: status %d: %s", rresp.StatusCode, body)
+	}
+	suffix, rrecs := readStream(t, rresp.Body)
+	if rrecs[0].Type != "resumed" || rrecs[0].Cycle != 2000 {
+		t.Fatalf("resume record = %+v, want resumed@2000", rrecs[0])
+	}
+	var want []sim.Change
+	for _, c := range ref {
+		if c.Time > 2000 {
+			want = append(want, c)
+		}
+	}
+	if !reflect.DeepEqual(suffix, want) {
+		t.Errorf("resumed trace differs from the reference after cycle 2000:\nresumed: %v\nref:     %v", suffix, want)
+	}
+
+	id := strings.Repeat("ab", 32)
+	if resp, err := http.Get(ts.URL + "/v1/store/" + id); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/store/{id} on a memory-only service: status %d, want 404", resp.StatusCode)
 	}
 }

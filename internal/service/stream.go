@@ -55,13 +55,10 @@ type snapshotIndex struct {
 }
 
 // persistSnapshot writes one checkpoint and its index entry to the
-// store, best-effort: any failure (no store, store down, write error)
-// just reports false — checkpoint persistence must never fail a
-// streaming run.
+// store, best-effort: any failure (store closed, write error) just
+// reports false — checkpoint persistence must never fail a streaming
+// run.
 func (s *Service) persistSnapshot(fp, cfgCanon, stimHash string, cycle int64, snap []byte) bool {
-	if s.store == nil {
-		return false
-	}
 	if err := s.store.Put(simStateKey(fp, cfgCanon, stimHash, cycle), snap); err != nil {
 		return false
 	}
@@ -90,9 +87,6 @@ func (s *Service) persistSnapshot(fp, cfgCanon, stimHash string, cycle int64, sn
 // directory (with an exact-cycle probe as fallback when the index was
 // evicted).
 func (s *Service) loadNearestSnapshot(fp, cfgCanon, stimHash string, cycle int64) ([]byte, int64, bool) {
-	if s.store == nil {
-		return nil, 0, false
-	}
 	cycles := []int64{cycle}
 	if raw, _, ok := s.store.Get(simIndexKey(fp, cfgCanon, stimHash)); ok {
 		var idx snapshotIndex
@@ -121,7 +115,7 @@ func (s *Service) loadNearestSnapshot(fp, cfgCanon, stimHash string, cycle int64
 //	resumed    — resume accepted: the cycle actually restored from
 //	progress   — periodic heartbeat: sim time, event/change totals
 //	checkpoint — a snapshot cycle passed; stored says whether it
-//	             was persisted (false = store absent or down)
+//	             was persisted (false = store closed or failing)
 //	done       — run finished: end time, totals, final outputs
 //	error      — run aborted; budget/traceLimit carry the typed cause
 type StreamRecord struct {
@@ -306,7 +300,6 @@ func (s *Service) streamRun(ctx context.Context, w http.ResponseWriter, sm *sim.
 		o = outcomeError
 	}
 	s.stats.observeClass(time.Since(start), o, classSimulate)
-	s.stats.observeSimMode(time.Since(start), job.cfg.Compiled)
 }
 
 // handleSimulateStream serves POST /v1/simulate?stream=ndjson: the
@@ -487,5 +480,4 @@ func (s *Service) handleSimulateVCD(w http.ResponseWriter, r *http.Request, jr S
 		o = outcomeError
 	}
 	s.stats.observeClass(time.Since(start), o, classSimulate)
-	s.stats.observeSimMode(time.Since(start), job.Config.Compiled)
 }

@@ -67,13 +67,11 @@ func (j VerifyJob) verifyOptions(ctx context.Context, maxEvents int) synth.Verif
 // job, reporting the tier that served the verified artifact. Verified
 // artifacts are stage-cached exactly like Partitioned ones: keyed by
 // (fingerprint, constraints, algorithm, stimulus hash, sim semantics)
-// under the "verified.v1" stage, write-through to the persistent
-// store, served from its memory or disk tier across restarts. A warm
-// verification therefore skips merge, emit, and both simulations —
-// only capture and the (itself stage-cached) partition summary are
-// rebuilt. Identical concurrent requests coalesce onto one
-// computation. Without a store, verifications are uncached but still
-// coalesced.
+// under the "verified.v1" stage, written to the store and served from
+// its tiers (across restarts when it has a disk). A warm verification
+// therefore skips merge, emit, and both simulations — only capture and
+// the (itself stage-cached) partition summary are rebuilt. Identical
+// concurrent requests coalesce onto one computation.
 func (s *Service) Verify(ctx context.Context, job VerifyJob) (*VerifyResponse, Source, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -94,20 +92,16 @@ func (s *Service) Verify(ctx context.Context, job VerifyJob) (*VerifyResponse, S
 	key := ca.VerifyStageKey(opts)
 
 	out, coalesced, err := s.verifyGroup.Do(ctx, key.String(), func() (verifyOutcome, error) {
-		// Second tier first: a verified artifact persisted by an
-		// earlier process (or another handler) answers from the
-		// capture stage alone.
-		if s.store != nil {
-			st := &stages{store: s.store}
-			if n, mm, ok := ca.LookupVerified(st, opts); ok {
-				resp, err := s.verifyResponse(ctx, ca, mm, opts, n)
-				if err != nil {
-					return verifyOutcome{}, err
-				}
-				return verifyOutcome{resp: resp, tier: st.tier}, nil
+		// A verified artifact cached by an earlier request (or
+		// process) answers from the capture stage alone.
+		cache := &stages{store: s.store}
+		if n, mm, ok := ca.LookupVerified(cache, opts); ok {
+			resp, err := s.verifyResponse(ctx, ca, mm, opts, n)
+			if err != nil {
+				return verifyOutcome{}, err
 			}
+			return verifyOutcome{resp: resp, tier: cache.tier}, nil
 		}
-		cache := s.stageCache()
 		pt, _, err := ca.PartitionCached(context.WithoutCancel(ctx), cache)
 		if err != nil {
 			return verifyOutcome{}, err
@@ -134,20 +128,12 @@ func (s *Service) Verify(ctx context.Context, job VerifyJob) (*VerifyResponse, S
 		return verifyOutcome{resp: resp, tier: store.TierNone}, nil
 	})
 
-	source, o := SourceMiss, outcomeMiss
+	source, o := served(out.tier)
 	switch {
 	case err != nil:
 		o = outcomeError
 	case coalesced:
 		o = outcomeCoalesced
-	case out.tier == store.TierMemory:
-		source, o = SourceMemory, outcomeMemoryHit
-	case out.tier == store.TierDisk:
-		source, o = SourceDisk, outcomeDiskHit
-	case out.tier == store.TierRemote:
-		source, o = SourceRemote, outcomeRemoteHit
-	case s.store == nil:
-		o = outcomeUncached
 	}
 	s.stats.observeClass(time.Since(start), o, classVerify)
 	return out.resp, source, err
@@ -158,7 +144,7 @@ func (s *Service) Verify(ctx context.Context, job VerifyJob) (*VerifyResponse, S
 // the same cold run that cached the verification), never by running
 // the partitioner twice for one answer.
 func (s *Service) verifyResponse(ctx context.Context, ca *synth.Captured, mm []synth.Mismatch, opts synth.VerifyOptions, stimuli int) (*VerifyResponse, error) {
-	pt, _, err := ca.PartitionCached(context.WithoutCancel(ctx), s.stageCache())
+	pt, _, err := ca.PartitionCached(context.WithoutCancel(ctx), &stages{store: s.store})
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,8 @@
 // Gets read through memory → disk → remote (remote fetches are
 // single-flighted per entry and written through locally), Puts write
 // through disk and on to the remote origin. Get reports which tier
-// served each hit.
+// served each hit. Opened with no directory, a Store is memory-only:
+// the payload LRU is its one tier.
 //
 // Durability discipline:
 //

@@ -28,7 +28,8 @@ import (
 //
 // Serving a GET promotes the entry in the origin's disk LRU; an
 // accepted PUT installs into both local tiers, exactly like a local
-// Put.
+// Put. A memory-only store has no framed entries to serve and answers
+// 404 to everything.
 //
 // Trust model: the checksums bind each entry's payload to the header
 // of its own frame and the key text to the id — they defend against
@@ -40,6 +41,10 @@ import (
 // secret with AuthMiddleware + RemoteOptions.AuthToken.
 func (s *Store) RemoteHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if s.disk == nil {
+			http.Error(w, "store: memory-only store serves no entries", http.StatusNotFound)
+			return
+		}
 		id := strings.Trim(r.URL.Path, "/")
 		if !validEntryID(id) {
 			http.Error(w, "store: malformed entry id", http.StatusBadRequest)

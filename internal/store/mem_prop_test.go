@@ -123,3 +123,37 @@ func TestMemTierDisabledNeverResident(t *testing.T) {
 		s.mu.Unlock()
 	}
 }
+
+// TestMemoryOnlyStoreProperty drives the same randomized churn through
+// a memory-only store, where an evicted entry is gone: a hit must
+// return the last payload Put under its key (never a stale one), a
+// payload that fits the tier must read back straight after its Put,
+// and the accounting invariant holds throughout.
+func TestMemoryOnlyStoreProperty(t *testing.T) {
+	const budget = 1 << 10
+	rng := rand.New(rand.NewSource(3))
+	s, err := Open("", Options{MemBytes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	last := map[int][]byte{}
+	for op := 0; op < 2000; op++ {
+		ki := rng.Intn(12)
+		k := testKey(ki)
+		if rng.Intn(3) < 2 {
+			p := make([]byte, rng.Intn(1200))
+			rng.Read(p)
+			if err := s.Put(k, p); err != nil {
+				t.Fatalf("op %d: Put: %v", op, err)
+			}
+			last[ki] = p
+			if got, tier, ok := s.Get(k); len(p) <= budget && (!ok || tier != TierMemory || !bytes.Equal(got, p)) {
+				t.Fatalf("op %d: fresh %d-byte Put did not read back from memory (ok=%v tier=%v)", op, len(p), ok, tier)
+			}
+		} else if got, _, ok := s.Get(k); ok && !bytes.Equal(got, last[ki]) {
+			t.Fatalf("op %d: Get(%d) returned a stale payload", op, ki)
+		}
+		checkMemInvariant(t, s, budget)
+	}
+}

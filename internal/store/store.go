@@ -96,10 +96,10 @@ type Options struct {
 	// included); the least recently used entries are evicted beyond
 	// it. Zero means DefaultMaxBytes; negative disables the bound.
 	MaxBytes int64
-	// MemBytes bounds the in-memory first tier (payload bytes). Zero
-	// means DefaultMemBytes; negative disables the memory tier
-	// entirely, useful when the caller layers its own memory cache
-	// above the store.
+	// MemBytes bounds the in-memory first tier (payload bytes), which
+	// is a memory-only store's only tier. Zero means DefaultMemBytes;
+	// negative disables the memory tier, so every Get reads the disk
+	// tier (and a memory-only store caches nothing).
 	MemBytes int64
 	// Remote, when non-nil, is the shared-origin third tier (usually a
 	// *Remote over another instance's /v1/store routes): Gets that
@@ -107,7 +107,8 @@ type Options struct {
 	// entry) and written through to disk and memory; local Puts are
 	// written through to it. A failing remote degrades the store to
 	// local-only — it never fails a Get or a local Put. The Store owns
-	// the backend and closes it on Close.
+	// the backend and closes it on Close. A memory-only store (Open
+	// with an empty dir) cannot have one.
 	Remote Backend
 }
 
@@ -119,13 +120,14 @@ func (o Options) memBytes() int64 {
 }
 
 // Store is a tiered (memory over disk over optional remote)
-// content-addressed artifact cache rooted at one directory. Safe for
-// concurrent use; readers are never blocked by eviction (an entry
-// deleted mid-read degrades to a miss). The disk tier is a Disk
-// backend; the optional remote tier is any Backend (see Options.
-// Remote), read through with per-entry single-flighting and written
-// through on Put.
+// content-addressed artifact cache rooted at one directory, or a
+// memory-only cache with no directory. Safe for concurrent use;
+// readers are never blocked by eviction (an entry deleted mid-read
+// degrades to a miss). The disk tier is a Disk backend; the optional
+// remote tier is any Backend (see Options.Remote), read through with
+// per-entry single-flighting and written through on Put.
 type Store struct {
+	// disk is nil in a memory-only store.
 	disk   *Disk
 	remote Backend
 	opts   Options
@@ -164,7 +166,9 @@ const maxRemoteWriteThroughs = 32
 // memEntry is one memory-tier payload. gen is the disk generation the
 // payload was installed or read at; promotions carrying an older
 // generation are rejected, so a slow reader can never clobber a
-// fresher payload (see promoteMemLocked).
+// fresher payload (see promoteMemLocked). A memory-only store installs
+// everything at generation 0: its only promotions are Puts, which
+// promote under the store lock, so the last Put wins.
 type memEntry struct {
 	id      string
 	payload []byte
@@ -224,21 +228,34 @@ type StageUsage struct {
 
 // Open opens (creating if needed) the store rooted at dir. The disk
 // tier recovers exactly as OpenDisk describes; the memory tier starts
-// empty; the remote tier, when configured, is taken as-is.
+// empty; the remote tier, when configured, is taken as-is. An empty
+// dir opens a memory-only store: its memory tier is its only tier, so
+// Options.Remote must be nil (a remote hit is written through to disk).
 func Open(dir string, opts Options) (*Store, error) {
-	disk, err := OpenDisk(dir, opts.MaxBytes)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{
-		disk:      disk,
+	s := &Store{
 		remote:    opts.Remote,
 		opts:      opts,
 		mem:       map[string]*list.Element{},
 		memOrder:  list.New(),
 		remoteSem: make(chan struct{}, maxRemoteWriteThroughs),
-	}, nil
+	}
+	if dir == "" {
+		if opts.Remote != nil {
+			return nil, errRemoteNeedsDisk
+		}
+		return s, nil
+	}
+	disk, err := OpenDisk(dir, opts.MaxBytes)
+	if err != nil {
+		return nil, err
+	}
+	s.disk = disk
+	return s, nil
 }
+
+// errRemoteNeedsDisk reports an Open with a remote tier but no
+// directory.
+var errRemoteNeedsDisk = errors.New("store: a remote tier needs a store directory")
 
 // entryPath is the disk tier's file path for id (test hook).
 func (s *Store) entryPath(id string) string { return s.disk.entryPath(id) }
@@ -264,17 +281,21 @@ func (s *Store) Get(k Key) ([]byte, Tier, bool) {
 		s.memoryHits++
 		payload := el.Value.(*memEntry).payload
 		s.mu.Unlock()
-		s.disk.touch(id)
+		if s.disk != nil {
+			s.disk.touch(id)
+		}
 		return payload, TierMemory, true
 	}
 	s.mu.Unlock()
 
-	if payload, gen, ok := s.disk.get(k); ok {
-		s.mu.Lock()
-		s.diskHits++
-		s.promoteMemLocked(id, payload, gen)
-		s.mu.Unlock()
-		return payload, TierDisk, true
+	if s.disk != nil {
+		if payload, gen, ok := s.disk.get(k); ok {
+			s.mu.Lock()
+			s.diskHits++
+			s.promoteMemLocked(id, payload, gen)
+			s.mu.Unlock()
+			return payload, TierDisk, true
+		}
 	}
 
 	if s.remote != nil {
@@ -332,12 +353,17 @@ func (s *Store) Put(k Key, data []byte) error {
 	s.mu.Unlock()
 
 	// Frame (and checksum) the entry once; the disk install and the
-	// remote write-through ship the identical bytes.
+	// remote write-through ship the identical bytes. A memory-only
+	// store keeps the payload alone.
 	id := k.id()
-	raw := encodeEntry(k, data)
-	gen, err := s.disk.install(id, raw)
-	if err != nil {
-		return err
+	var raw []byte
+	var gen uint64
+	if s.disk != nil {
+		raw = encodeEntry(k, data)
+		var err error
+		if gen, err = s.disk.install(id, raw); err != nil {
+			return err
+		}
 	}
 	s.mu.Lock()
 	s.puts++
@@ -451,11 +477,13 @@ func (s *Store) Stats() Stats {
 		RemoteDroppedWrites: s.remoteDrops,
 	}
 	s.mu.Unlock()
-	ds := s.disk.Stats()
-	st.Entries = ds.Entries
-	st.BytesUsed = ds.BytesUsed
-	st.Evictions, st.CorruptEvicted = s.disk.counters()
-	st.Stages = s.disk.StageStats()
+	if s.disk != nil {
+		ds := s.disk.Stats()
+		st.Entries = ds.Entries
+		st.BytesUsed = ds.BytesUsed
+		st.Evictions, st.CorruptEvicted = s.disk.counters()
+		st.Stages = s.disk.StageStats()
+	}
 	if s.remote != nil {
 		rs := s.remote.Stats()
 		st.Remote = &rs
@@ -463,11 +491,23 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Len returns the number of entries in the disk tier.
-func (s *Store) Len() int { return s.disk.Len() }
+// Len returns the number of entries in the disk tier (0 in a
+// memory-only store).
+func (s *Store) Len() int {
+	if s.disk == nil {
+		return 0
+	}
+	return s.disk.Len()
+}
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.disk.Dir() }
+// Dir returns the store's root directory ("" for a memory-only
+// store).
+func (s *Store) Dir() string {
+	if s.disk == nil {
+		return ""
+	}
+	return s.disk.Dir()
+}
 
 // Close marks the store closed and closes its backends; subsequent
 // Gets miss and Puts fail. All locally written entries are already
@@ -479,7 +519,10 @@ func (s *Store) Close() error {
 	s.closed = true
 	s.mu.Unlock()
 	s.remoteWG.Wait()
-	err := s.disk.Close()
+	var err error
+	if s.disk != nil {
+		err = s.disk.Close()
+	}
 	if s.remote != nil {
 		if rerr := s.remote.Close(); err == nil {
 			err = rerr

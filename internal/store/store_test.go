@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -374,6 +376,44 @@ func TestMemoryTierBound(t *testing.T) {
 	mustPut(t, s, testKey(9), big)
 	if _, tier, ok := s.Get(testKey(9)); !ok || tier != TierDisk {
 		t.Errorf("oversized payload cached in memory (tier %v, ok %v)", tier, ok)
+	}
+}
+
+// TestMemoryOnlyStore: Open with no directory gives a store whose
+// memory tier is its only tier — no disk, no remote, no origin routes.
+func TestMemoryOnlyStore(t *testing.T) {
+	if _, err := Open("", Options{Remote: NewRemote("http://127.0.0.1:1", RemoteOptions{})}); err == nil {
+		t.Error("memory-only store accepted a remote tier")
+	}
+	s, err := Open("", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey(1)
+	mustPut(t, s, k, []byte("hello"))
+	if got, tier, ok := s.Get(k); !ok || tier != TierMemory || string(got) != "hello" {
+		t.Errorf("Get = %q, %v, %v; want hello from memory", got, tier, ok)
+	}
+	if _, _, ok := s.Get(testKey(2)); ok {
+		t.Error("Get of an absent key reported a hit")
+	}
+	st := s.Stats()
+	if st.MemEntries != 1 || st.MemoryHits != 1 || st.Misses != 1 || st.Puts != 1 || st.Entries != 0 || st.Stages != nil {
+		t.Errorf("stats = %+v", st)
+	}
+	if s.Dir() != "" || s.Len() != 0 {
+		t.Errorf("Dir = %q, Len = %d; want no disk tier", s.Dir(), s.Len())
+	}
+	rec := httptest.NewRecorder()
+	s.RemoteHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/"+k.id(), nil))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("origin GET on a memory-only store: status %d, want 404", rec.Code)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(k, []byte("x")); err == nil {
+		t.Error("Put on a closed memory-only store succeeded")
 	}
 }
 

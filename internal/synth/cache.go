@@ -97,11 +97,12 @@ func (ca *Captured) SubKey(subFingerprint string) StageKey {
 
 // StagePartitioned names the Partitioned artifact in a StageCache;
 // stage caches and the artifact store use it as the Stage component of
-// their keys. The .v2 suffix records the keying change from the full
-// design fingerprint to the structural fingerprint (StructKey) —
-// entries written under the v1 scheme miss cleanly instead of being
-// consulted with the wrong key semantics.
-const StagePartitioned = "partitioned.v2"
+// their keys. v2 rekeyed the stage from the full design fingerprint to
+// the structural fingerprint (StructKey); v3 dropped the run-dependent
+// nodesVisited statistic, so the artifact is a pure function of its
+// key. Entries written under an older scheme miss cleanly instead of
+// being consulted with the wrong semantics.
+const StagePartitioned = "partitioned.v3"
 
 // StagePartitionMerge names per-partition merge artifacts: the merged
 // program of one partition, keyed by the subgraph fingerprint
@@ -156,16 +157,17 @@ func (ca *Captured) PartitionCached(ctx context.Context, cache StageCache) (*Par
 // resultWire is the portable encoding of a core.Result. Nodes are
 // identified by block name, not NodeID: the fingerprint two designs
 // share is insertion-order independent, so their NodeIDs may differ
-// while their names cannot.
+// while their names cannot. Result.NodesVisited is not carried: the
+// parallel exhaustive search's count varies run to run, and a stage
+// artifact must depend on its key alone.
 //
-//eblocks:wire partitioned.v2 a11c0771
+//eblocks:wire partitioned.v3 751c56a6
 type resultWire struct {
-	Version      int        `json:"v"`
-	Algorithm    string     `json:"algorithm"`
-	Partitions   [][]string `json:"partitions"`
-	Uncovered    []string   `json:"uncovered"`
-	FitChecks    int        `json:"fitChecks"`
-	NodesVisited int64      `json:"nodesVisited,omitempty"`
+	Version    int        `json:"v"`
+	Algorithm  string     `json:"algorithm"`
+	Partitions [][]string `json:"partitions"`
+	Uncovered  []string   `json:"uncovered"`
+	FitChecks  int        `json:"fitChecks"`
 }
 
 const resultWireVersion = 1
@@ -174,12 +176,11 @@ const resultWireVersion = 1
 // form.
 func encodeResult(res *core.Result, g *graph.Graph) ([]byte, error) {
 	w := resultWire{
-		Version:      resultWireVersion,
-		Algorithm:    res.Algorithm,
-		Partitions:   make([][]string, len(res.Partitions)),
-		Uncovered:    make([]string, 0, len(res.Uncovered)),
-		FitChecks:    res.FitChecks,
-		NodesVisited: res.NodesVisited,
+		Version:    resultWireVersion,
+		Algorithm:  res.Algorithm,
+		Partitions: make([][]string, len(res.Partitions)),
+		Uncovered:  make([]string, 0, len(res.Uncovered)),
+		FitChecks:  res.FitChecks,
 	}
 	for i, p := range res.Partitions {
 		ids := p.Sorted()
@@ -248,10 +249,9 @@ func decodeResult(raw []byte, g *graph.Graph) (*core.Result, error) {
 		return id, nil
 	}
 	res := &core.Result{
-		Algorithm:    w.Algorithm,
-		Partitions:   make([]graph.NodeSet, len(w.Partitions)),
-		FitChecks:    w.FitChecks,
-		NodesVisited: w.NodesVisited,
+		Algorithm:  w.Algorithm,
+		Partitions: make([]graph.NodeSet, len(w.Partitions)),
+		FitChecks:  w.FitChecks,
 	}
 	for i, names := range w.Partitions {
 		set := graph.NewNodeSet()
