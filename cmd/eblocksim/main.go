@@ -8,15 +8,13 @@
 //	eblocksim -library "Podium Timer 3" -script stimuli.txt -vcd out.vcd
 //	eblocksim -library "Night Lamp Controller" -script stimuli.txt -json
 //	eblocksim -library "Night Lamp Controller" -script stimuli.txt -until 100000000 -stream
-//	eblocksim -serve :8080
 //
 // -json emits the eblocksd /v1/simulate response schema instead of the
-// human-readable report, and -serve starts the eblocksd HTTP API
-// (memory-only, no persistent store) — both are produced by the same
-// service code the daemon runs, so CLI and server outputs are
-// byte-compatible. -stream writes the trace to stdout as NDJSON change
-// records as they happen, in bounded memory, so horizons far beyond
-// what a buffered trace could hold are fine.
+// human-readable report; it is produced by the same service code the
+// daemon runs, so CLI and server outputs are byte-compatible. -stream
+// writes the trace to stdout as NDJSON change records as they happen,
+// in bounded memory, so horizons far beyond what a buffered trace
+// could hold are fine.
 //
 // Behaviors are evaluated on the compiled bytecode VM.
 //
@@ -32,10 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
-	"net/http"
 	"os"
-	"time"
 
 	"repro/internal/cli"
 	"repro/internal/designs"
@@ -57,7 +52,6 @@ func main() {
 		stats      = flag.Bool("stats", false, "print structural statistics before simulating")
 		jsonOut    = flag.Bool("json", false, "print the eblocksd /v1/simulate response schema instead of the report")
 		stream     = flag.Bool("stream", false, "stream the trace to stdout as NDJSON change records in bounded memory instead of buffering it")
-		serve      = flag.String("serve", "", "serve the eblocksd HTTP API on this address instead of simulating (memory-only)")
 	)
 	flag.Parse()
 
@@ -66,12 +60,6 @@ func main() {
 			fmt.Println(n)
 		}
 		return
-	}
-	if *serve != "" {
-		svc := service.New(service.Config{})
-		log.Printf("eblocksim: serving the eblocksd API on %s (memory-only)", *serve)
-		srv := &http.Server{Addr: *serve, Handler: svc.Handler(), ReadHeaderTimeout: 10 * time.Second}
-		fatal(srv.ListenAndServe())
 	}
 	d, err := cli.LoadDesign(*designPath, *library)
 	if err != nil {

@@ -4,17 +4,18 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/token"
+	"go/types"
 	"regexp"
 	"strings"
 )
 
 // MetricName enforces the Prometheus naming contract of the repo's
-// hand-rolled /metrics exporters: every series name passed to the
-// counter/gauge/sample emission helpers is a compile-time constant in
-// snake_case under an approved binary prefix, and each series is
-// declared (HELP/TYPE) exactly once per exporter function. Any bare
-// string literal that starts with an approved prefix is held to the
-// same shape, so typo'd names in raw Fprintf lines are caught too.
+// /metrics exporters: every family name passed to an obs.Writer
+// Counter, Gauge or Summary call is a compile-time constant in
+// snake_case under an approved binary prefix, and each family is
+// written exactly once per exporter function. Any bare string literal
+// that starts with an approved prefix is held to the same shape, so
+// typo'd names outside Writer calls are caught too.
 var MetricName = &Analyzer{
 	Name: "metricname",
 	Doc: "Prometheus series use constant snake_case eblocksd_/eblocksrouter_ names " +
@@ -28,9 +29,14 @@ var metricPrefixes = []string{"eblocksd_", "eblocksrouter_"}
 // metricNameRE is the full required shape of a series name.
 var metricNameRE = regexp.MustCompile(`^(eblocksd|eblocksrouter)_[a-z0-9]+(_[a-z0-9]+)*$`)
 
-// metricEmitters are the local helper names whose first argument is a
-// series name.
-var metricEmitters = map[string]bool{"counter": true, "gauge": true, "sample": true}
+// writerFamilies are the methods of the metrics layer's exposition
+// writer, by types.Func full name, that write one whole family and take
+// its name as their first argument.
+var writerFamilies = map[string]bool{
+	"(*repro/internal/obs.Writer).Counter": true,
+	"(*repro/internal/obs.Writer).Gauge":   true,
+	"(*repro/internal/obs.Writer).Summary": true,
+}
 
 func runMetricName(pass *Pass) error {
 	for _, f := range pass.Files {
@@ -56,30 +62,29 @@ func hasMetricPrefix(s string) bool {
 	return false
 }
 
-// checkMetricEmitters validates counter/gauge/sample calls in one
-// function: constant names, approved shape, and single declaration.
+// checkMetricEmitters validates the obs.Writer family calls in one
+// function: constant names, approved shape, and one call per family.
 // Argument positions it has judged are recorded in covered so the
 // bare-literal sweep does not double-report them.
 func checkMetricEmitters(pass *Pass, fd *ast.FuncDecl, covered map[token.Pos]bool) {
-	declared := map[string]bool{} // names already HELP/TYPE-declared in this function
+	written := map[string]bool{} // families already written in this function
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		if !ok || !metricEmitters[id.Name] || len(call.Args) < 2 {
-			return true
-		}
-		// Only local helpers (closures or functions), not arbitrary
-		// same-named methods from other packages.
-		if obj := pass.Info.Uses[id]; obj == nil || obj.Pkg() == nil || obj.Pkg() != pass.Pkg {
+		fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
+		if !ok || !writerFamilies[fn.FullName()] {
 			return true
 		}
 		covered[call.Args[0].Pos()] = true
 		tv, ok := pass.Info.Types[call.Args[0]]
 		if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-			pass.Reportf(call.Args[0].Pos(), "metric name passed to %s must be a compile-time constant string", id.Name)
+			pass.Reportf(call.Args[0].Pos(), "metric name passed to %s must be a compile-time constant string", fn.Name())
 			return true
 		}
 		name := constant.StringVal(tv.Value)
@@ -87,19 +92,17 @@ func checkMetricEmitters(pass *Pass, fd *ast.FuncDecl, covered map[token.Pos]boo
 			pass.Reportf(call.Args[0].Pos(), "metric name %q is not snake_case under an approved prefix (want %s)", name, metricNameRE)
 			return true
 		}
-		if id.Name == "counter" || id.Name == "gauge" {
-			if declared[name] {
-				pass.Reportf(call.Args[0].Pos(), "metric %s is declared (HELP/TYPE) more than once in %s: a series must be registered exactly once", name, fd.Name.Name)
-			}
-			declared[name] = true
+		if written[name] {
+			pass.Reportf(call.Args[0].Pos(), "metric %s is declared (HELP/TYPE) more than once in %s: a family must be written by exactly one Writer call", name, fd.Name.Name)
 		}
+		written[name] = true
 		return true
 	})
 }
 
 // checkMetricLiterals holds every prefix-bearing bare string literal
-// in the file to the series-name shape, catching typos in raw
-// Fprintf-style emission lines.
+// in the file to the series-name shape, catching typos in names that
+// never pass through a Writer call.
 func checkMetricLiterals(pass *Pass, f *ast.File, covered map[token.Pos]bool) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		lit, ok := n.(*ast.BasicLit)

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -216,6 +215,9 @@ func TestReportQuantilesAndSLO(t *testing.T) {
 		syn.P99 != 99*time.Millisecond || syn.Max != 100*time.Millisecond {
 		t.Errorf("quantiles = %v/%v/%v/%v", syn.P50, syn.P90, syn.P99, syn.Max)
 	}
+	if q := quantilesOf(nil); q != (Quantiles{}) {
+		t.Errorf("empty quantiles = %+v", q)
+	}
 	if syn.OK != 100 || syn.ErrorRate() != 0 {
 		t.Errorf("synthesize ok=%d errRate=%v", syn.OK, syn.ErrorRate())
 	}
@@ -260,33 +262,6 @@ func TestReportQuantilesAndSLO(t *testing.T) {
 		t.Error("report did not survive the JSON round trip")
 	}
 	rep.WriteSummary(io.Discard)
-}
-
-// TestNearestRank pins the quantile definition shared with the
-// service.
-func TestNearestRank(t *testing.T) {
-	cases := []struct {
-		q    float64
-		n, i int
-	}{
-		{0.50, 1, 0}, {0.99, 1, 0}, {0.50, 2, 0}, {0.50, 100, 49},
-		{0.90, 100, 89}, {0.99, 100, 98}, {0.99, 10, 9}, {0.50, 3, 1},
-	}
-	for _, c := range cases {
-		if got := nearestRank(c.q, c.n); got != c.i {
-			t.Errorf("nearestRank(%v, %d) = %d, want %d", c.q, c.n, got, c.i)
-		}
-	}
-	sorted := func(n int) (s []time.Duration) {
-		for i := 1; i <= n; i++ {
-			s = append(s, time.Duration(i))
-		}
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		return
-	}
-	if q := quantilesOf(sorted(0)); q != (Quantiles{}) {
-		t.Errorf("empty quantiles = %+v", q)
-	}
 }
 
 // TestShardBreakdown: responses labeled X-Shard / X-Retried-Shard

@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // maxSamplesPerKey caps the raw latency samples retained per
@@ -109,20 +111,6 @@ func (rec *recorder) observe(route string, status int, tier string, d time.Durat
 	}
 }
 
-// nearestRank returns the index of the q-th quantile of a sorted
-// n-sample set under the nearest-rank definition (ceil(q*n)-1),
-// matching the service's own quantile semantics.
-func nearestRank(q float64, n int) int {
-	i := int(math.Ceil(q*float64(n))) - 1
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
-}
-
 // Quantiles are the nearest-rank latency quantiles of one histogram,
 // in nanoseconds.
 type Quantiles struct {
@@ -135,18 +123,8 @@ type Quantiles struct {
 }
 
 func quantilesOf(samples []time.Duration) Quantiles {
-	if len(samples) == 0 {
-		return Quantiles{}
-	}
-	s := make([]time.Duration, len(samples))
-	copy(s, samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return Quantiles{
-		P50: s[nearestRank(0.50, len(s))],
-		P90: s[nearestRank(0.90, len(s))],
-		P99: s[nearestRank(0.99, len(s))],
-		Max: s[len(s)-1],
-	}
+	q := obs.Quantiles(slices.Clone(samples), 0.50, 0.90, 0.99, 1)
+	return Quantiles{P50: q[0], P90: q[1], P99: q[2], Max: q[3]}
 }
 
 // TierStats is one (route, cache tier) histogram.

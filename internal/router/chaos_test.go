@@ -373,6 +373,7 @@ func TestChaosAllShardsDead(t *testing.T) {
 		t.Fatalf("502 body is not the typed router error: %s", got)
 	}
 
+	before := rt.Stats()
 	resp, got = postRaw(t, rts.URL+"/v1/batch", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status %d (the NDJSON 200 is committed before fan-out): %s", resp.StatusCode, got)
@@ -388,7 +389,12 @@ func TestChaosAllShardsDead(t *testing.T) {
 		}
 	}
 
+	// The batch is one client request that failed in the router: it
+	// counts as one error however many of its records are 502s.
 	st := rt.Stats()
+	if n := st.Errors - before.Errors; n != 1 {
+		t.Fatalf("batch of router 502s raised Errors by %d, want 1", n)
+	}
 	if st.Errors == 0 || st.Retries == 0 {
 		t.Fatalf("fleet-wide death left no trace: %+v", st)
 	}

@@ -8,38 +8,32 @@ import (
 )
 
 // shard is one worker in the fleet: its identity, its health state
-// machine, and its share of the router's counters. All fields behind
-// mu; the health machine is driven both actively (periodic /healthz
-// probes) and passively (a transport-level proxy failure marks the
-// shard unhealthy immediately, so the fleet reacts faster than one
-// probe interval).
+// machine, and its share of the router's counters. The health machine
+// is driven both actively (periodic /healthz probes) and passively (a
+// transport-level proxy failure marks the shard unhealthy immediately,
+// so the fleet reacts faster than one probe interval).
 type shard struct {
-	name string // the X-Shard label; defaults to the base URL sans scheme
-	base string // base URL, no trailing slash
+	// ShardStats holds the shard's identity, fixed by New and read
+	// without the lock (Name, the X-Shard label: the base URL sans
+	// scheme; URL: the base URL, no trailing slash), and its health
+	// flag and counters, which are behind mu.
+	ShardStats
 
-	mu      sync.Mutex
-	healthy bool
+	mu sync.Mutex
 	// cooldownUntil gates recovery: an unhealthy shard rejoins only
 	// when a probe succeeds at or after this instant, so a flapping
 	// worker (up for a probe, down for the next request) cannot
 	// oscillate back into rotation faster than the cooldown.
 	cooldownUntil time.Time
-	// transitions counts health flips in either direction.
-	transitions uint64
-	// requests/errors/retries: proxied attempts sent to this shard,
-	// attempts that failed at the transport level, and retry attempts
-	// this shard's failures caused (counted against the failed shard,
-	// not the sibling that absorbed them).
-	requests, errors, retries uint64
 }
 
 // markFailureFor transitions the shard to unhealthy (passive proxy
 // failure or probe failure) and restarts its cooldown clock.
 func (s *shard) markFailureFor(now time.Time, cooldown time.Duration) {
 	s.mu.Lock()
-	if s.healthy {
-		s.healthy = false
-		s.transitions++
+	if s.Healthy {
+		s.Healthy = false
+		s.Transitions++
 	}
 	s.cooldownUntil = now.Add(cooldown)
 	s.mu.Unlock()
@@ -49,9 +43,9 @@ func (s *shard) markFailureFor(now time.Time, cooldown time.Duration) {
 // cooldown has elapsed (probe success path).
 func (s *shard) markSuccess(now time.Time) {
 	s.mu.Lock()
-	if !s.healthy && !now.Before(s.cooldownUntil) {
-		s.healthy = true
-		s.transitions++
+	if !s.Healthy && !now.Before(s.cooldownUntil) {
+		s.Healthy = true
+		s.Transitions++
 	}
 	s.mu.Unlock()
 }
@@ -60,15 +54,15 @@ func (s *shard) markSuccess(now time.Time) {
 func (s *shard) isHealthy() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.healthy
+	return s.Healthy
 }
 
 // observe accumulates one proxied attempt's outcome.
 func (s *shard) observe(failed bool) {
 	s.mu.Lock()
-	s.requests++
+	s.Requests++
 	if failed {
-		s.errors++
+		s.Errors++
 	}
 	s.mu.Unlock()
 }
@@ -77,7 +71,7 @@ func (s *shard) observe(failed bool) {
 // caused it.
 func (s *shard) observeRetry() {
 	s.mu.Lock()
-	s.retries++
+	s.Retries++
 	s.mu.Unlock()
 }
 
@@ -103,7 +97,7 @@ func (rt *Router) ProbeOnce(ctx context.Context) {
 func (rt *Router) probe(ctx context.Context, s *shard) {
 	pctx, cancel := context.WithTimeout(ctx, rt.opts.probeTimeout())
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, s.base+"/healthz", nil)
+	req, err := http.NewRequestWithContext(pctx, http.MethodGet, s.URL+"/healthz", nil)
 	if err != nil {
 		s.markFailureFor(time.Now(), rt.opts.cooldown())
 		return
@@ -156,12 +150,12 @@ func (rt *Router) healthyShards() []string {
 	names := make([]string, 0, len(rt.shards))
 	for _, s := range rt.shards {
 		if s.isHealthy() {
-			names = append(names, s.name)
+			names = append(names, s.Name)
 		}
 	}
 	if len(names) == 0 {
 		for _, s := range rt.shards {
-			names = append(names, s.name)
+			names = append(names, s.Name)
 		}
 	}
 	return names

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -108,7 +109,7 @@ func New(opts Options) (*Router, error) {
 		if rt.byName[name] != nil {
 			return nil, fmt.Errorf("router: duplicate worker %q", name)
 		}
-		s := &shard{name: name, base: base, healthy: true}
+		s := &shard{ShardStats: ShardStats{Name: name, URL: base, Healthy: true}}
 		rt.shards = append(rt.shards, s)
 		rt.byName[name] = s
 	}
@@ -207,7 +208,7 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeStatsJSON(w, rt.Stats())
 	})
-	mux.HandleFunc("/metrics", rt.handleMetrics)
+	mux.Handle("/metrics", obs.Handler(func() string { return promText(rt.Stats()) }))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		healthy := 0
 		for _, s := range rt.shards {
@@ -275,7 +276,7 @@ type attempt struct {
 // try sends the request to one shard. A non-nil response may still be
 // any HTTP status — only transport-level failures populate err.
 func (rt *Router) try(ctx context.Context, s *shard, r *http.Request, body []byte) attempt {
-	req, err := http.NewRequestWithContext(ctx, r.Method, s.base+r.URL.RequestURI(), bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, r.Method, s.URL+r.URL.RequestURI(), bytes.NewReader(body))
 	if err != nil {
 		return attempt{err: err}
 	}
@@ -364,17 +365,17 @@ func (rt *Router) bufferThrough(w http.ResponseWriter, resp *http.Response, s *s
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
 		s.mu.Lock()
-		s.errors++
+		s.Errors++
 		s.mu.Unlock()
 		s.markFailureFor(time.Now(), rt.opts.cooldown())
 		writeRouterError(w, http.StatusBadGateway, routerError{
-			Error: fmt.Sprintf("shard %s: reading response: %v", s.name, err),
-			Shard: s.name, RetriedShard: retriedFrom,
+			Error: fmt.Sprintf("shard %s: reading response: %v", s.Name, err),
+			Shard: s.Name, RetriedShard: retriedFrom,
 		})
 		return
 	}
 	copyHeaders(w.Header(), resp.Header)
-	w.Header().Set("X-Shard", s.name)
+	w.Header().Set("X-Shard", s.Name)
 	if retriedFrom != "" {
 		w.Header().Set("X-Retried-Shard", retriedFrom)
 	}
@@ -400,7 +401,7 @@ const maxStreamLine = 1 << 20
 func (rt *Router) streamThrough(w http.ResponseWriter, r *http.Request, resp *http.Response, s *shard, retriedFrom string) {
 	ndjson := strings.Contains(resp.Header.Get("Content-Type"), "ndjson")
 	copyHeaders(w.Header(), resp.Header)
-	w.Header().Set("X-Shard", s.name)
+	w.Header().Set("X-Shard", s.Name)
 	if retriedFrom != "" {
 		w.Header().Set("X-Retried-Shard", retriedFrom)
 	}
@@ -427,7 +428,7 @@ func (rt *Router) streamThrough(w http.ResponseWriter, r *http.Request, resp *ht
 			if err != nil {
 				s.markFailureFor(time.Now(), rt.opts.cooldown())
 				rt.stats.observeStreamAbort()
-				fmt.Fprintf(w, "$comment router: shard %s failed mid-stream: %s $end\n", s.name, err)
+				fmt.Fprintf(w, "$comment router: shard %s failed mid-stream: %s $end\n", s.Name, err)
 				flush()
 				return
 			}
@@ -440,8 +441,8 @@ func (rt *Router) streamThrough(w http.ResponseWriter, r *http.Request, resp *ht
 		rt.stats.observeStreamAbort()
 		rec := map[string]string{
 			"type":  "error",
-			"error": fmt.Sprintf("router: shard %s failed mid-stream: %v", s.name, cause),
-			"shard": s.name,
+			"error": fmt.Sprintf("router: shard %s failed mid-stream: %v", s.Name, cause),
+			"shard": s.Name,
 		}
 		if b, err := json.Marshal(rec); err == nil {
 			w.Write(append(b, '\n'))

@@ -356,7 +356,7 @@ func TestRouterProbeRecovery(t *testing.T) {
 	}
 	s := rt.shardByName(flakyName)
 	s.mu.Lock()
-	transitions := s.transitions
+	transitions := s.Transitions
 	s.mu.Unlock()
 	if transitions != 2 {
 		t.Fatalf("flaky shard transitions = %d, want 2 (down, up)", transitions)
@@ -455,6 +455,13 @@ func TestRouterErrorPassThrough(t *testing.T) {
 			t.Errorf("worker 4xx was retried: %q", body)
 		}
 	}
+	// A batch the worker rejects: its verdict travels in each item's
+	// record and is no router failure either.
+	resp, got := postRaw(t, rts.URL+"/v1/batch", []byte(`{"requests": [{"ebk": "not a real program"}]}`))
+	results, done := decodeBatchNDJSON(t, got)
+	if resp.StatusCode != http.StatusOK || done.Failed != 1 || results[0].Status < 400 || results[0].Status >= 500 {
+		t.Fatalf("rejected batch: status %d, done %+v, record %+v", resp.StatusCode, done, results[0])
+	}
 	if st := rt.Stats(); st.Retries != 0 || st.Errors != 0 {
 		t.Fatalf("deterministic worker verdicts counted as router failures: %+v", st)
 	}
@@ -495,7 +502,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatalf("scheme-less worker rejected: %v", err)
 	}
 	defer rt.Close()
-	if rt.shards[0].base != "http://bare-host:8080" || rt.shards[0].name != "bare-host:8080" {
-		t.Fatalf("scheme-less worker normalized to %q / %q", rt.shards[0].base, rt.shards[0].name)
+	if rt.shards[0].URL != "http://bare-host:8080" || rt.shards[0].Name != "bare-host:8080" {
+		t.Fatalf("scheme-less worker normalized to %q / %q", rt.shards[0].URL, rt.shards[0].Name)
 	}
 }

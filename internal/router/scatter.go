@@ -40,6 +40,10 @@ type BatchRecord struct {
 	Requests int `json:"requests,omitempty"`
 	OK       int `json:"ok,omitempty"`
 	Failed   int `json:"failed,omitempty"`
+
+	// routerErr marks an error record the router originated, as
+	// opposed to a worker verdict passed through; never encoded.
+	routerErr bool
 }
 
 // rawBatch mirrors service.BatchRequest/BatchResponse with the
@@ -118,6 +122,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// concurrent sub-batches can never tear or interleave records.
 	var wmu sync.Mutex
 	var okCount, failCount int
+	var routerFailed bool
 	emit := func(rec BatchRecord) {
 		b, err := json.Marshal(rec)
 		if err != nil {
@@ -131,6 +136,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 				failCount++
 			}
 		}
+		routerFailed = routerFailed || rec.routerErr
 		w.Write(append(b, '\n'))
 		if flusher != nil {
 			flusher.Flush()
@@ -149,7 +155,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 
 	emit(BatchRecord{Type: "done", Requests: len(br.Requests), OK: okCount, Failed: failCount})
-	rt.stats.observeBatch(time.Since(start), len(groups))
+	rt.stats.observeBatch(time.Since(start), len(groups), routerFailed)
 }
 
 // runGroup sends one shard's sub-batch and emits its result records.
@@ -160,14 +166,14 @@ func (rt *Router) runGroup(r *http.Request, owner string, g *batchGroup, retried
 	s := rt.shardByName(owner)
 	subBody, err := json.Marshal(rawBatch{Requests: g.reqs})
 	if err != nil {
-		rt.emitGroupError(g, owner, retriedFrom, http.StatusBadGateway, fmt.Sprintf("marshal sub-batch: %v", err), emit)
+		rt.emitGroupError(g, owner, retriedFrom, fmt.Sprintf("marshal sub-batch: %v", err), emit)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), rt.opts.timeout())
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.base+"/v1/batch", bytes.NewReader(subBody))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.URL+"/v1/batch", bytes.NewReader(subBody))
 	if err != nil {
-		rt.emitGroupError(g, owner, retriedFrom, http.StatusBadGateway, err.Error(), emit)
+		rt.emitGroupError(g, owner, retriedFrom, err.Error(), emit)
 		return
 	}
 	copyHeaders(req.Header, r.Header)
@@ -188,12 +194,12 @@ func (rt *Router) runGroup(r *http.Request, owner string, g *batchGroup, retried
 		// group over each item's sibling and retry once.
 		s.observe(true)
 		if r.Context().Err() != nil {
-			rt.emitGroupError(g, owner, retriedFrom, http.StatusBadGateway, derr.Error(), emit)
+			rt.emitGroupError(g, owner, retriedFrom, derr.Error(), emit)
 			return
 		}
 		s.markFailureFor(time.Now(), rt.opts.cooldown())
 		if retriedFrom != "" {
-			rt.emitGroupError(g, owner, retriedFrom, http.StatusBadGateway, derr.Error(), emit)
+			rt.emitGroupError(g, owner, retriedFrom, derr.Error(), emit)
 			return
 		}
 		s.observeRetry()
@@ -207,12 +213,15 @@ func (rt *Router) runGroup(r *http.Request, owner string, g *batchGroup, retried
 		// all-or-nothing): surface its status and message per item.
 		// Deterministic worker verdicts are not retried.
 		msg := workerErrorMessage(respBody)
-		rt.emitGroupError(g, owner, retriedFrom, resp.StatusCode, msg, emit)
+		for _, idx := range g.indices {
+			i := idx
+			emit(BatchRecord{Index: &i, Shard: owner, RetriedShard: retriedFrom, Status: resp.StatusCode, Error: msg})
+		}
 		return
 	}
 	var rbr rawBatchResponse
 	if err := json.Unmarshal(respBody, &rbr); err != nil || len(rbr.Responses) != len(g.indices) {
-		rt.emitGroupError(g, owner, retriedFrom, http.StatusBadGateway,
+		rt.emitGroupError(g, owner, retriedFrom,
 			fmt.Sprintf("shard %s returned a malformed batch response", owner), emit)
 		return
 	}
@@ -221,7 +230,7 @@ func (rt *Router) runGroup(r *http.Request, owner string, g *batchGroup, retried
 		if err := json.Compact(&compact, rbr.Responses[j]); err != nil {
 			i := idx
 			emit(BatchRecord{Index: &i, Shard: owner, RetriedShard: retriedFrom,
-				Status: http.StatusBadGateway, Error: "malformed response payload"})
+				Status: http.StatusBadGateway, Error: "malformed response payload", routerErr: true})
 			continue
 		}
 		i := idx
@@ -243,7 +252,7 @@ func (rt *Router) retryGroup(r *http.Request, failed string, g *batchGroup, caus
 		}
 	}
 	if len(survivors) == 0 {
-		rt.emitGroupError(g, failed, "", http.StatusBadGateway, cause.Error(), emit)
+		rt.emitGroupError(g, failed, "", cause.Error(), emit)
 		return
 	}
 	regrouped := map[string]*batchGroup{}
@@ -278,11 +287,12 @@ func (rt *Router) retryGroup(r *http.Request, failed string, g *batchGroup, caus
 	wg.Wait()
 }
 
-// emitGroupError emits one error record per item of a failed group.
-func (rt *Router) emitGroupError(g *batchGroup, shard, retriedFrom string, status int, msg string, emit func(BatchRecord)) {
+// emitGroupError emits one router-originated 502 record per item of a
+// failed group.
+func (rt *Router) emitGroupError(g *batchGroup, shard, retriedFrom, msg string, emit func(BatchRecord)) {
 	for _, idx := range g.indices {
 		i := idx
-		emit(BatchRecord{Index: &i, Shard: shard, RetriedShard: retriedFrom, Status: status, Error: msg})
+		emit(BatchRecord{Index: &i, Shard: shard, RetriedShard: retriedFrom, Status: http.StatusBadGateway, Error: msg, routerErr: true})
 	}
 }
 

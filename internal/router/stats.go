@@ -2,51 +2,33 @@ package router
 
 import (
 	"encoding/json"
-	"fmt"
-	"math"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
-)
 
-// latencyWindow is how many recent request durations the router's
-// latency quantiles are computed over (matching the service's own
-// window semantics).
-const latencyWindow = 4096
+	"repro/internal/obs"
+)
 
 // metrics accumulates the router's own counters: client-facing
 // request totals and failures, retries launched, batch fan-outs,
-// stream aborts, and a sliding window of front-end request latencies
-// (the fan-out latency: accept to last byte handed to the client).
+// stream aborts, and the window of front-end request latencies (the
+// fan-out latency: accept to last byte handed to the client).
 type metrics struct {
-	mu           sync.Mutex
-	requests     uint64
-	errors       uint64 // client-visible failures the router originated (typed 502s, stream aborts)
-	retries      uint64 // sibling retry attempts launched
-	batches      uint64 // scatter-gathered /v1/batch requests
-	batchFanouts uint64 // sub-batches dispatched across all batches
-	streamAborts uint64 // streams terminated with an in-band router error record
-	latSum       time.Duration
-	lat          []time.Duration
-	latNext      int
+	mu sync.Mutex
+	// st holds the counters; Stats derives Requests and the latency
+	// fields from lat and fills in the shards.
+	st  Stats
+	lat obs.Window
 }
 
 // observeRequest records one completed client request and whether the
 // router had to originate a failure for it.
 func (m *metrics) observeRequest(d time.Duration, failed bool) {
 	m.mu.Lock()
-	m.requests++
+	m.lat.Observe(d)
 	if failed {
-		m.errors++
-	}
-	m.latSum += d
-	if len(m.lat) < latencyWindow {
-		m.lat = append(m.lat, d)
-	} else {
-		m.lat[m.latNext] = d
-		m.latNext = (m.latNext + 1) % latencyWindow
+		m.st.Errors++
 	}
 	m.mu.Unlock()
 }
@@ -54,24 +36,21 @@ func (m *metrics) observeRequest(d time.Duration, failed bool) {
 // observeRetryLaunched counts one sibling retry attempt.
 func (m *metrics) observeRetryLaunched() {
 	m.mu.Lock()
-	m.retries++
+	m.st.Retries++
 	m.mu.Unlock()
 }
 
 // observeBatch records one scatter-gathered batch and its fan-out
-// width, plus the request itself.
-func (m *metrics) observeBatch(d time.Duration, fanout int) {
+// width, plus the request itself: failed when any of its records is
+// an error the router originated.
+func (m *metrics) observeBatch(d time.Duration, fanout int, failed bool) {
 	m.mu.Lock()
-	m.batches++
-	m.batchFanouts += uint64(fanout)
-	m.latSum += d
-	if len(m.lat) < latencyWindow {
-		m.lat = append(m.lat, d)
-	} else {
-		m.lat[m.latNext] = d
-		m.latNext = (m.latNext + 1) % latencyWindow
+	m.lat.Observe(d)
+	m.st.Batches++
+	m.st.BatchFanouts += uint64(fanout)
+	if failed {
+		m.st.Errors++
 	}
-	m.requests++
 	m.mu.Unlock()
 }
 
@@ -79,8 +58,8 @@ func (m *metrics) observeBatch(d time.Duration, fanout int) {
 // router error record (and as a client-visible failure).
 func (m *metrics) observeStreamAbort() {
 	m.mu.Lock()
-	m.streamAborts++
-	m.errors++
+	m.st.StreamAborts++
+	m.st.Errors++
 	m.mu.Unlock()
 }
 
@@ -106,7 +85,8 @@ type ShardStats struct {
 type Stats struct {
 	// Requests counts client requests on proxied routes (batches
 	// included); Errors the subset that ended in a router-originated
-	// failure (typed 502 or in-band stream abort); Retries the
+	// failure (a typed 502, an in-band stream abort, or a batch with
+	// router-originated 502 records, counted once); Retries the
 	// sibling retry attempts launched.
 	Requests uint64 `json:"requests"`
 	Errors   uint64 `json:"errors"`
@@ -123,49 +103,25 @@ type Stats struct {
 	HealthyShards int          `json:"healthyShards"`
 	Shards        []ShardStats `json:"shards"`
 	// P50/P99 are nearest-rank quantiles of front-end request latency
-	// over a sliding window; LatencySum is cumulative across all
-	// requests.
+	// over the last obs.WindowSize requests; LatencySum is cumulative
+	// across all requests.
 	P50        time.Duration `json:"p50Nanos"`
 	P99        time.Duration `json:"p99Nanos"`
 	LatencySum time.Duration `json:"latencySumNanos"`
 }
 
-// nearestRank mirrors the service's quantile definition
-// (ceil(q*n)-1, clamped).
-func nearestRank(q float64, n int) int {
-	i := int(math.Ceil(q*float64(n))) - 1
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
-}
-
 // Stats snapshots the router's counters.
 func (rt *Router) Stats() Stats {
 	rt.stats.mu.Lock()
-	lat := make([]time.Duration, len(rt.stats.lat))
-	copy(lat, rt.stats.lat)
-	st := Stats{
-		Requests:     rt.stats.requests,
-		Errors:       rt.stats.errors,
-		Retries:      rt.stats.retries,
-		Batches:      rt.stats.batches,
-		BatchFanouts: rt.stats.batchFanouts,
-		StreamAborts: rt.stats.streamAborts,
-		LatencySum:   rt.stats.latSum,
-	}
+	st := rt.stats.st
+	lat, sum, count := rt.stats.lat.Snapshot()
 	rt.stats.mu.Unlock()
 
+	q := obs.Quantiles(lat, 0.50, 0.99)
+	st.P50, st.P99, st.LatencySum, st.Requests = q[0], q[1], sum, count
 	for _, s := range rt.shards {
 		s.mu.Lock()
-		ss := ShardStats{
-			Name: s.name, URL: s.base, Healthy: s.healthy,
-			Requests: s.requests, Errors: s.errors, Retries: s.retries,
-			Transitions: s.transitions,
-		}
+		ss := s.ShardStats
 		s.mu.Unlock()
 		if ss.Healthy {
 			st.HealthyShards++
@@ -173,12 +129,6 @@ func (rt *Router) Stats() Stats {
 		st.Shards = append(st.Shards, ss)
 	}
 	sort.Slice(st.Shards, func(i, j int) bool { return st.Shards[i].Name < st.Shards[j].Name })
-
-	if len(lat) > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		st.P50 = lat[nearestRank(0.50, len(lat))]
-		st.P99 = lat[nearestRank(0.99, len(lat))]
-	}
 	return st
 }
 
@@ -196,81 +146,34 @@ func writeStatsJSON(w http.ResponseWriter, st Stats) {
 // shards are labels so dashboards sum or split without schema
 // changes.
 func promText(st Stats) string {
-	var b strings.Builder
-	counter := func(name, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	}
-	gauge := func(name, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-	}
-	sample := func(name, labels string, v interface{}) {
-		if labels != "" {
-			fmt.Fprintf(&b, "%s{%s} %v\n", name, labels, v)
-		} else {
-			fmt.Fprintf(&b, "%s %v\n", name, v)
-		}
-	}
+	var w obs.Writer
+	w.Counter("eblocksrouter_requests_total", "Client requests on proxied routes (batches included).", obs.Value(st.Requests))
+	w.Counter("eblocksrouter_request_errors_total", "Client requests that ended in a router-originated failure (typed 502 or in-band stream abort).", obs.Value(st.Errors))
+	w.Counter("eblocksrouter_retries_total", "Sibling retry attempts launched after a shard transport failure.", obs.Value(st.Retries))
+	w.Counter("eblocksrouter_batches_total", "Scatter-gathered /v1/batch requests.", obs.Value(st.Batches))
+	w.Counter("eblocksrouter_batch_fanouts_total", "Sub-batches dispatched across all scatter-gathered batches.", obs.Value(st.BatchFanouts))
+	w.Counter("eblocksrouter_stream_aborts_total", "Streams terminated with an in-band router error record.", obs.Value(st.StreamAborts))
+	w.Gauge("eblocksrouter_healthy_shards", "Shards currently in rotation.", obs.Value(st.HealthyShards))
 
-	counter("eblocksrouter_requests_total", "Client requests on proxied routes (batches included).")
-	sample("eblocksrouter_requests_total", "", st.Requests)
-	counter("eblocksrouter_request_errors_total", "Client requests that ended in a router-originated failure (typed 502 or in-band stream abort).")
-	sample("eblocksrouter_request_errors_total", "", st.Errors)
-	counter("eblocksrouter_retries_total", "Sibling retry attempts launched after a shard transport failure.")
-	sample("eblocksrouter_retries_total", "", st.Retries)
-	counter("eblocksrouter_batches_total", "Scatter-gathered /v1/batch requests.")
-	sample("eblocksrouter_batches_total", "", st.Batches)
-	counter("eblocksrouter_batch_fanouts_total", "Sub-batches dispatched across all scatter-gathered batches.")
-	sample("eblocksrouter_batch_fanouts_total", "", st.BatchFanouts)
-	counter("eblocksrouter_stream_aborts_total", "Streams terminated with an in-band router error record.")
-	sample("eblocksrouter_stream_aborts_total", "", st.StreamAborts)
-	gauge("eblocksrouter_healthy_shards", "Shards currently in rotation.")
-	sample("eblocksrouter_healthy_shards", "", st.HealthyShards)
-
-	counter("eblocksrouter_shard_requests_total", "Proxied attempts sent to each shard.")
+	var requests, errs, retries, transitions, healthy []obs.Sample
 	for _, s := range st.Shards {
-		sample("eblocksrouter_shard_requests_total", fmt.Sprintf("shard=%q", s.Name), s.Requests)
-	}
-	counter("eblocksrouter_shard_errors_total", "Proxied attempts that failed at the transport level, by shard.")
-	for _, s := range st.Shards {
-		sample("eblocksrouter_shard_errors_total", fmt.Sprintf("shard=%q", s.Name), s.Errors)
-	}
-	counter("eblocksrouter_shard_retries_total", "Sibling retries caused by each shard's failures.")
-	for _, s := range st.Shards {
-		sample("eblocksrouter_shard_retries_total", fmt.Sprintf("shard=%q", s.Name), s.Retries)
-	}
-	counter("eblocksrouter_shard_health_transitions_total", "Health state flips (either direction), by shard.")
-	for _, s := range st.Shards {
-		sample("eblocksrouter_shard_health_transitions_total", fmt.Sprintf("shard=%q", s.Name), s.Transitions)
-	}
-	gauge("eblocksrouter_shard_healthy", "Current membership state of each shard (1 = in rotation).")
-	for _, s := range st.Shards {
-		v := 0
+		up := 0
 		if s.Healthy {
-			v = 1
+			up = 1
 		}
-		sample("eblocksrouter_shard_healthy", fmt.Sprintf("shard=%q", s.Name), v)
+		requests = append(requests, obs.Labeled("shard", s.Name, s.Requests))
+		errs = append(errs, obs.Labeled("shard", s.Name, s.Errors))
+		retries = append(retries, obs.Labeled("shard", s.Name, s.Retries))
+		transitions = append(transitions, obs.Labeled("shard", s.Name, s.Transitions))
+		healthy = append(healthy, obs.Labeled("shard", s.Name, up))
 	}
+	w.Counter("eblocksrouter_shard_requests_total", "Proxied attempts sent to each shard.", requests...)
+	w.Counter("eblocksrouter_shard_errors_total", "Proxied attempts that failed at the transport level, by shard.", errs...)
+	w.Counter("eblocksrouter_shard_retries_total", "Sibling retries caused by each shard's failures.", retries...)
+	w.Counter("eblocksrouter_shard_health_transitions_total", "Health state flips (either direction), by shard.", transitions...)
+	w.Gauge("eblocksrouter_shard_healthy", "Current membership state of each shard (1 = in rotation).", healthy...)
 
-	fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s summary\n",
-		"eblocksrouter_request_latency_seconds",
-		"Front-end request latency: quantiles over a sliding window of recent requests, sum/count over all requests.",
-		"eblocksrouter_request_latency_seconds")
-	sample("eblocksrouter_request_latency_seconds", `quantile="0.5"`, st.P50.Seconds())
-	sample("eblocksrouter_request_latency_seconds", `quantile="0.99"`, st.P99.Seconds())
-	sample("eblocksrouter_request_latency_seconds_sum", "", st.LatencySum.Seconds())
-	sample("eblocksrouter_request_latency_seconds_count", "", st.Requests)
-	return b.String()
-}
-
-// handleMetrics serves GET /metrics.
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeRouterError(w, http.StatusMethodNotAllowed, routerError{Error: "use GET"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if r.Method == http.MethodHead {
-		return
-	}
-	fmt.Fprint(w, promText(rt.Stats()))
+	w.Summary("eblocksrouter_request_latency_seconds", "Front-end request latency: quantiles over a sliding window of recent requests, sum/count over all requests.",
+		st.P50, st.P99, st.LatencySum, st.Requests)
+	return w.String()
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/netlist"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -177,7 +178,7 @@ func (s *Service) Handler() http.Handler {
 		h := store.AuthMiddleware(s.cfg.StoreAuthToken, s.store.RemoteHandler())
 		http.StripPrefix("/v1/store", h).ServeHTTP(w, r)
 	}))
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.Handle("/metrics", obs.Handler(func() string { return promText(s.Stats()) }))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]bool{"ok": true})
 	})

@@ -1,68 +1,36 @@
 package service
 
 import (
-	"math"
-	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
-// latencyWindow is how many recent request durations the latency
-// quantiles are computed over.
-const latencyWindow = 4096
-
-// metrics accumulates service counters and a sliding window of request
-// latencies. All methods are goroutine-safe.
+// metrics accumulates the service counters and the request latency
+// window. All methods are goroutine-safe.
 type metrics struct {
-	mu         sync.Mutex
-	requests   uint64
-	simulates  uint64
-	verifies   uint64
-	deltas     uint64
-	memoryHits uint64
-	diskHits   uint64
-	remoteHits uint64
-	misses     uint64
-	coalesced  uint64
-	errors     uint64
-	// adopted/recomputed accumulate per-partition merge outcomes across
-	// all delta and cached-synthesis requests: how much merge work the
-	// stage cache absorbed vs. how much ran in-process.
-	adopted    uint64
-	recomputed uint64
-	// infeasibleHits counts requests answered from the negative cache
-	// (stage infeasible.v1) instead of re-running a pipeline known to
-	// fail.
-	infeasibleHits uint64
-	// streams counts streamed simulate runs (NDJSON or VCD);
-	// streamedChanges totals the change records they emitted.
-	streams         uint64
-	streamedChanges uint64
-	// snapshotsSaved counts checkpoints persisted to the store;
-	// snapshotHits/snapshotMisses count resume lookups by outcome.
-	snapshotsSaved uint64
-	snapshotHits   uint64
-	snapshotMisses uint64
-	latSum         time.Duration
-	lat            []time.Duration // ring buffer, latencyWindow capacity
-	latNext        int
+	mu sync.Mutex
+	// st holds the counters; snapshot derives the rest of a Stats
+	// (Requests, CacheHits and the latency fields) from st and lat.
+	st  Stats
+	lat obs.Window
 }
 
 // observeStream counts one streamed simulate run and the change
 // records it emitted.
 func (m *metrics) observeStream(changes uint64) {
 	m.mu.Lock()
-	m.streams++
-	m.streamedChanges += changes
+	m.st.StreamRequests++
+	m.st.StreamedChanges += changes
 	m.mu.Unlock()
 }
 
 // observeSnapshotSave counts a successfully persisted checkpoint.
 func (m *metrics) observeSnapshotSave() {
 	m.mu.Lock()
-	m.snapshotsSaved++
+	m.st.SnapshotsSaved++
 	m.mu.Unlock()
 }
 
@@ -70,9 +38,9 @@ func (m *metrics) observeSnapshotSave() {
 func (m *metrics) observeSnapshotLookup(hit bool) {
 	m.mu.Lock()
 	if hit {
-		m.snapshotHits++
+		m.st.SnapshotHits++
 	} else {
-		m.snapshotMisses++
+		m.st.SnapshotMisses++
 	}
 	m.mu.Unlock()
 }
@@ -80,15 +48,15 @@ func (m *metrics) observeSnapshotLookup(hit bool) {
 // observePartitions accumulates a merge's adopted/recomputed split.
 func (m *metrics) observePartitions(adopted, recomputed int) {
 	m.mu.Lock()
-	m.adopted += uint64(adopted)
-	m.recomputed += uint64(recomputed)
+	m.st.PartitionsAdopted += uint64(adopted)
+	m.st.PartitionsRecomputed += uint64(recomputed)
 	m.mu.Unlock()
 }
 
 // observeInfeasibleHit counts a negative-cache hit.
 func (m *metrics) observeInfeasibleHit() {
 	m.mu.Lock()
-	m.infeasibleHits++
+	m.st.InfeasibleHits++
 	m.mu.Unlock()
 }
 
@@ -103,35 +71,28 @@ func (m *metrics) observe(d time.Duration, outcome outcome) {
 func (m *metrics) observeClass(d time.Duration, outcome outcome, class reqClass) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.requests++
+	m.lat.Observe(d)
 	switch class {
 	case classSimulate:
-		m.simulates++
+		m.st.SimulateRequests++
 	case classVerify:
-		m.verifies++
+		m.st.VerifyRequests++
 	case classDelta:
-		m.deltas++
+		m.st.DeltaRequests++
 	}
 	switch outcome {
 	case outcomeMemoryHit:
-		m.memoryHits++
+		m.st.MemoryHits++
 	case outcomeDiskHit:
-		m.diskHits++
+		m.st.DiskHits++
 	case outcomeRemoteHit:
-		m.remoteHits++
+		m.st.RemoteHits++
 	case outcomeMiss:
-		m.misses++
+		m.st.CacheMisses++
 	case outcomeCoalesced:
-		m.coalesced++
+		m.st.Coalesced++
 	case outcomeError:
-		m.errors++
-	}
-	m.latSum += d
-	if len(m.lat) < latencyWindow {
-		m.lat = append(m.lat, d)
-	} else {
-		m.lat[m.latNext] = d
-		m.latNext = (m.latNext + 1) % latencyWindow
+		m.st.Errors++
 	}
 }
 
@@ -197,8 +158,8 @@ type Stats struct {
 	Coalesced   uint64 `json:"coalesced"`
 	// Errors counts requests that failed.
 	Errors uint64 `json:"errors"`
-	// P50/P99 are request latency quantiles over a sliding window of
-	// recent requests, in nanoseconds; LatencySum is the cumulative
+	// P50/P99 are nearest-rank request latency quantiles over the
+	// last obs.WindowSize requests, in nanoseconds; LatencySum is the cumulative
 	// request latency across ALL requests (the Prometheus summary's
 	// _sum series).
 	P50        time.Duration `json:"p50Nanos"`
@@ -222,57 +183,15 @@ type Stats struct {
 	Admission *AdmissionStats `json:"admission,omitempty"`
 }
 
-// nearestRank returns the index of the q-th quantile of a sorted
-// n-sample window under the nearest-rank definition: the smallest
-// index i such that at least q*n samples are <= lat[i], i.e.
-// ceil(q*n)-1. (The previous int(q*n) truncation picked the upper
-// median for even windows and walked one rank high elsewhere — e.g.
-// rank 100 of 100 for P99 — so tail quantiles over small windows
-// reported the maximum instead of the 99th percentile.)
-func nearestRank(q float64, n int) int {
-	i := int(math.Ceil(q*float64(n))) - 1
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
-}
-
-// snapshot computes the quantiles over the current window.
+// snapshot copies the counters and computes the latency quantiles.
 func (m *metrics) snapshot() Stats {
 	m.mu.Lock()
-	lat := make([]time.Duration, len(m.lat))
-	copy(lat, m.lat)
-	st := Stats{
-		Requests:             m.requests,
-		SimulateRequests:     m.simulates,
-		VerifyRequests:       m.verifies,
-		DeltaRequests:        m.deltas,
-		PartitionsAdopted:    m.adopted,
-		PartitionsRecomputed: m.recomputed,
-		InfeasibleHits:       m.infeasibleHits,
-		CacheHits:            m.memoryHits + m.diskHits + m.remoteHits,
-		MemoryHits:           m.memoryHits,
-		DiskHits:             m.diskHits,
-		RemoteHits:           m.remoteHits,
-		CacheMisses:          m.misses,
-		Coalesced:            m.coalesced,
-		Errors:               m.errors,
-		StreamRequests:       m.streams,
-		StreamedChanges:      m.streamedChanges,
-		SnapshotsSaved:       m.snapshotsSaved,
-		SnapshotHits:         m.snapshotHits,
-		SnapshotMisses:       m.snapshotMisses,
-		LatencySum:           m.latSum,
-	}
+	st := m.st
+	lat, sum, count := m.lat.Snapshot()
 	m.mu.Unlock()
 
-	if len(lat) > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		st.P50 = lat[nearestRank(0.50, len(lat))]
-		st.P99 = lat[nearestRank(0.99, len(lat))]
-	}
+	q := obs.Quantiles(lat, 0.50, 0.99)
+	st.P50, st.P99, st.LatencySum, st.Requests = q[0], q[1], sum, count
+	st.CacheHits = st.MemoryHits + st.DiskHits + st.RemoteHits
 	return st
 }

@@ -7,11 +7,12 @@ import (
 )
 
 // TestNearestRankQuantiles pins the nearest-rank definition
-// (ceil(q*n)-1) over small windows, where the previous int(q*n)
-// truncation was visibly wrong: it picked the upper median for even
-// windows and the maximum (rank n of n) for P99 whenever
-// ceil(0.99*n) == n-1 < int(0.99*n)+1 — e.g. a 100-sample window
-// reported the worst request as its P99.
+// (ceil(q*n)-1) over small windows, as the service reports it: the
+// requests go through the service's metrics, and so its obs.Window,
+// into Stats. The previous int(q*n) truncation was visibly wrong here:
+// it picked the upper median for even windows and the maximum (rank n
+// of n) for P99 whenever ceil(0.99*n) == n-1 < int(0.99*n)+1 — e.g. a
+// 100-sample window reported the worst request as its P99.
 func TestNearestRankQuantiles(t *testing.T) {
 	ms := func(vs ...int) []time.Duration {
 		out := make([]time.Duration, len(vs))
@@ -66,6 +67,9 @@ func TestNearestRankQuantiles(t *testing.T) {
 			if want := sum(tc.window); st.LatencySum != want {
 				t.Errorf("LatencySum = %v, want %v", st.LatencySum, want)
 			}
+			if st.Requests != uint64(len(tc.window)) || st.CacheMisses != st.Requests {
+				t.Errorf("Requests, CacheMisses = %d, %d, want %d", st.Requests, st.CacheMisses, len(tc.window))
+			}
 		})
 	}
 }
@@ -76,26 +80,4 @@ func sum(ds []time.Duration) time.Duration {
 		total += d
 	}
 	return total
-}
-
-// TestNearestRankBounds exercises the clamps directly.
-func TestNearestRankBounds(t *testing.T) {
-	for _, tc := range []struct {
-		q    float64
-		n, i int
-	}{
-		{0.50, 1, 0},
-		{0.99, 1, 0},
-		{0.50, 2, 0},
-		{0.99, 2, 1},
-		{0.50, 3, 1},
-		{0.99, 100, 98},
-		{0.99, 4096, 4055},
-		{1.0, 10, 9},
-		{0.0, 10, 0},
-	} {
-		if got := nearestRank(tc.q, tc.n); got != tc.i {
-			t.Errorf("nearestRank(%v, %d) = %d, want %d", tc.q, tc.n, got, tc.i)
-		}
-	}
 }
