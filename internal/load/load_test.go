@@ -264,6 +264,40 @@ func TestReportQuantilesAndSLO(t *testing.T) {
 	rep.WriteSummary(io.Discard)
 }
 
+// TestNearestRank pins the quantile definition shared with the
+// service: over n samples 1..n, given in descending order, the
+// reported q-quantile is sample i+1, i = ceil(q*n)-1 clamped to
+// [0, n-1]. The caller's samples are left in their order.
+func TestNearestRank(t *testing.T) {
+	cases := []struct {
+		q    float64
+		n, i int
+	}{
+		{0.50, 1, 0}, {0.99, 1, 0}, {0.50, 2, 0}, {0.50, 100, 49},
+		{0.90, 100, 89}, {0.99, 100, 98}, {0.99, 10, 9}, {0.50, 3, 1},
+	}
+	for _, c := range cases {
+		var samples []time.Duration
+		for k := c.n; k >= 1; k-- {
+			samples = append(samples, time.Duration(k))
+		}
+		q := quantilesOf(samples)
+		got := map[float64]time.Duration{0.50: q.P50, 0.90: q.P90, 0.99: q.P99}[c.q]
+		if want := time.Duration(c.i + 1); got != want {
+			t.Errorf("q=%v over %d samples = %v, want %v", c.q, c.n, got, want)
+		}
+		if q.Max != time.Duration(c.n) {
+			t.Errorf("max over %d samples = %v", c.n, q.Max)
+		}
+		if samples[0] != time.Duration(c.n) {
+			t.Errorf("quantilesOf reordered its input: %v", samples)
+		}
+	}
+	if q := quantilesOf(nil); q != (Quantiles{}) {
+		t.Errorf("empty quantiles = %+v", q)
+	}
+}
+
 // TestShardBreakdown: responses labeled X-Shard / X-Retried-Shard
 // (a router-fronted run) produce the per-shard report section —
 // service counts, error splits, absorbed retries charged to the

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestNearestRankQuantiles pins the nearest-rank definition
@@ -80,4 +82,45 @@ func sum(ds []time.Duration) time.Duration {
 		total += d
 	}
 	return total
+}
+
+// TestNearestRankBounds exercises the clamps of the quantile index,
+// ceil(q*n)-1 kept within [0, n-1], through the service's latency
+// window: n requests of 1..n ms, fed in descending order, must report
+// the (i+1) ms request as the q-quantile. P50 and P99 are read from
+// Stats; the q=0 and q=1 extremes, which Stats does not report, from
+// the window's own samples.
+func TestNearestRankBounds(t *testing.T) {
+	for _, tc := range []struct {
+		q    float64
+		n, i int
+	}{
+		{0.50, 1, 0},
+		{0.99, 1, 0},
+		{0.50, 2, 0},
+		{0.99, 2, 1},
+		{0.50, 3, 1},
+		{0.99, 100, 98},
+		{0.99, 4096, 4055},
+		{1.0, 10, 9},
+		{0.0, 10, 0},
+	} {
+		var m metrics
+		for k := tc.n; k >= 1; k-- {
+			m.observe(time.Duration(k)*time.Millisecond, outcomeMiss)
+		}
+		var got time.Duration
+		switch st := m.snapshot(); tc.q {
+		case 0.50:
+			got = st.P50
+		case 0.99:
+			got = st.P99
+		default:
+			lat, _, _ := m.lat.Snapshot()
+			got = obs.Quantiles(lat, tc.q)[0]
+		}
+		if want := time.Duration(tc.i+1) * time.Millisecond; got != want {
+			t.Errorf("q=%v over %d requests = %v, want %v", tc.q, tc.n, got, want)
+		}
+	}
 }
