@@ -164,11 +164,15 @@ func runDelta(basePath, editsPath, storeDir string, opts synth.Options, jsonOut 
 		cache = service.StageCacheOver(st)
 	}
 
-	ca, err := synth.Capture(base, opts)
+	baseCa, err := synth.Capture(base, opts)
 	if err != nil {
 		fatal(err)
 	}
-	em, stats, err := synth.SynthesizeDelta(context.Background(), ca, edits, cache)
+	ca, err := synth.CaptureDelta(baseCa, edits)
+	if err != nil {
+		fatal(err)
+	}
+	em, stats, err := synth.SynthesizeCaptured(context.Background(), ca, cache)
 	if err != nil {
 		fatal(err)
 	}

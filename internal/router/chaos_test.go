@@ -31,6 +31,9 @@ const (
 	// than the bytes it writes: the worker-died-mid-response case
 	// (the router's body read fails after a 200 status).
 	chaosShortBatch
+	// chaosShortSynth is chaosShortBatch for /v1/synthesize: a
+	// buffered single-shard route whose worker dies mid-body.
+	chaosShortSynth
 )
 
 // chaos wraps one worker's handler with a switchable failure mode.
@@ -65,14 +68,26 @@ func (c *chaos) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	case chaosShortBatch:
 		if r.URL.Path == "/v1/batch" {
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("Content-Length", "100000")
-			w.WriteHeader(http.StatusOK)
-			w.Write([]byte(`{"responses": [`))
+			writeShort(w, `{"responses": [`)
+			return
+		}
+	case chaosShortSynth:
+		if r.URL.Path == "/v1/synthesize" {
+			writeShort(w, `{"designHash": `)
 			return
 		}
 	}
 	c.inner.ServeHTTP(w, r)
+}
+
+// writeShort answers 200 with a Content-Length larger than the bytes
+// it writes, then returns: the server closes the connection, and the
+// reader's body read fails after the status line.
+func writeShort(w http.ResponseWriter, prefix string) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", "100000")
+	w.WriteHeader(http.StatusOK)
+	w.Write([]byte(prefix))
 }
 
 // newChaosFleet is newFleet with every worker behind a chaos wrapper:
@@ -349,6 +364,49 @@ func TestChaosBatchWorkerDeath(t *testing.T) {
 				t.Fatalf("victim's ledger is empty: %+v", victimStats)
 			}
 		})
+	}
+}
+
+// TestChaosBufferedShortBody: the owner of a buffered route dies
+// mid-body after a 200 (short body). The client gets the router's
+// typed 502 — never a torn document — the failure counts exactly once
+// in the router's Errors and the owner's ledger, and the owner leaves
+// rotation.
+func TestChaosBufferedShortBody(t *testing.T) {
+	wrappers, names, rt, rts := newChaosFleet(t)
+	d := designs.Lookup("Podium Timer 3").Build()
+	raw, err := netlist.MarshalJSON(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(map[string]any{"design": json.RawMessage(raw)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := Owner(netlist.Fingerprint(d), names)
+	wrappers[chaosIndex(t, names, owner)].mode.Store(chaosShortSynth)
+
+	before := rt.Stats()
+	resp, got := postRaw(t, rts.URL+"/v1/synthesize", body)
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("short body after 200: status %d, want 502: %s", resp.StatusCode, got)
+	}
+	var re routerError
+	if err := json.Unmarshal(got, &re); err != nil || re.Shard != owner || !strings.Contains(re.Error, "reading response") {
+		t.Fatalf("502 body is not the typed router error naming %s: %s", owner, got)
+	}
+
+	st := rt.Stats()
+	if n := st.Errors - before.Errors; n != 1 {
+		t.Fatalf("short body raised router Errors by %d, want 1: %+v", n, st)
+	}
+	if rt.shardByName(owner).isHealthy() {
+		t.Fatalf("short body left %s in rotation", owner)
+	}
+	for _, ss := range st.Shards {
+		if ss.Name == owner && ss.Errors != 1 {
+			t.Fatalf("owner's ledger after one short body: %+v", ss)
+		}
 	}
 }
 

@@ -335,16 +335,17 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, k
 			break
 		}
 		s.observe(false)
+		failed := false
 		func() {
 			defer at.resp.Body.Close()
 			defer cancel()
 			if streaming && at.resp.StatusCode == http.StatusOK {
 				rt.streamThrough(w, r, at.resp, s, retriedFrom)
 			} else {
-				rt.bufferThrough(w, at.resp, s, retriedFrom, start)
+				failed = !rt.bufferThrough(w, at.resp, s, retriedFrom)
 			}
 		}()
-		rt.stats.observeRequest(time.Since(start), false)
+		rt.stats.observeRequest(time.Since(start), failed)
 		return
 	}
 	// Owner and sibling both unreachable (or the fleet is down to one
@@ -360,8 +361,9 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, k
 // bufferThrough forwards a complete worker response: headers, status,
 // body. The body is read fully before the first client byte so a
 // mid-body transport failure converts into a typed 502 instead of a
-// torn document.
-func (rt *Router) bufferThrough(w http.ResponseWriter, resp *http.Response, s *shard, retriedFrom string, start time.Time) {
+// torn document. It reports false when it answered that 502, a
+// router-originated failure the caller counts.
+func (rt *Router) bufferThrough(w http.ResponseWriter, resp *http.Response, s *shard, retriedFrom string) bool {
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
 		s.mu.Lock()
@@ -372,7 +374,7 @@ func (rt *Router) bufferThrough(w http.ResponseWriter, resp *http.Response, s *s
 			Error: fmt.Sprintf("shard %s: reading response: %v", s.Name, err),
 			Shard: s.Name, RetriedShard: retriedFrom,
 		})
-		return
+		return false
 	}
 	copyHeaders(w.Header(), resp.Header)
 	w.Header().Set("X-Shard", s.Name)
@@ -381,6 +383,7 @@ func (rt *Router) bufferThrough(w http.ResponseWriter, resp *http.Response, s *s
 	}
 	w.WriteHeader(resp.StatusCode)
 	w.Write(b)
+	return true
 }
 
 // maxStreamLine caps one NDJSON line accepted from a worker (a change

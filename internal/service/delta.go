@@ -64,18 +64,20 @@ func (s *Service) noteInfeasible(sk synth.StageKey, err error) error {
 }
 
 // Delta synthesizes an edited variant of a base design incrementally:
-// the edit list is applied to the base, and every stage artifact the
+// the edit list is applied to the base (synth.CaptureDelta), and the
+// edited capture runs Synthesize's flight, so every stage artifact the
 // edits did not invalidate — the partitioning when structure is
 // unchanged, each untouched partition's merge artifact — is adopted
 // from the stage cache instead of recomputed. The response is
 // byte-identical to what Synthesize would return for the edited
-// design; DeltaStats reports the adopted/recomputed split. The edited
-// design is persisted to the store under its fingerprint so the client
-// can chain further edits by content address.
-//
-// Delta requests are not coalesced: the workload they serve is an
-// interactive editing session, where identical concurrent requests do
-// not arise the way they do for batch synthesis.
+// design; DeltaStats reports the adopted/recomputed split of the run
+// that computed it (zero when the response was served from the
+// store). Identical concurrent edits — and a concurrent Synthesize of
+// the edited design — coalesce onto one flight, and a coalesced or
+// cached delta reports the flight's tier and split. After every
+// success the edited design is persisted to the store under its
+// fingerprint, so the client can chain further edits by content
+// address.
 func (s *Service) Delta(ctx context.Context, req Request, edits []synth.Edit) (*Response, synth.DeltaStats, Source, error) {
 	start := time.Now()
 	fail := func(err error) (*Response, synth.DeltaStats, Source, error) {
@@ -93,37 +95,13 @@ func (s *Service) Delta(ctx context.Context, req Request, edits []synth.Edit) (*
 	if err != nil {
 		return fail(err)
 	}
-	sk := ca.StageKey()
-
-	// The edited design may already have a full response cached — a
-	// repeated edit, or an undo back to a state synthesized earlier in
-	// the session.
-	if r, tier, ok := s.loadResponse(sk); ok {
-		src, o := served(tier)
-		s.stats.observeClass(time.Since(start), o, classDelta)
-		return r, synth.DeltaStats{}, src, nil
+	out, coalesced, err := s.synthesize(ctx, ca)
+	if err == nil {
+		s.PersistDesign(ca.Design)
 	}
-	if s.infeasibleHit(sk) {
-		s.stats.observeInfeasibleHit()
-		return fail(synth.ErrUnrealizable)
-	}
-
-	// The pipeline runs detached from the request context, like a
-	// synthesis flight: its artifacts populate the shared stage cache
-	// either way, so a mid-run disconnect should not waste the work.
-	em, stats, err := synth.SynthesizeCaptured(context.WithoutCancel(ctx), ca, &stages{store: s.store})
-	if err != nil {
-		return fail(s.noteInfeasible(sk, err))
-	}
-	s.stats.observePartitions(stats.Adopted, stats.Recomputed)
-	r, err := NewResponse(em.Output(), ca)
-	if err != nil {
-		return fail(err)
-	}
-	s.saveResponse(sk, r)
-	s.PersistDesign(ca.Design)
-	s.stats.observeClass(time.Since(start), outcomeMiss, classDelta)
-	return r, stats, SourceMiss, nil
+	source, o := served(out.tier, coalesced, err)
+	s.stats.observeClass(time.Since(start), o, classDelta)
+	return out.resp, out.stats, source, err
 }
 
 // DeltaJSONRequest is the wire form of an incremental synthesis

@@ -3,18 +3,22 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/behavior"
 	"repro/internal/designs"
 	"repro/internal/netlist"
 	"repro/internal/randgen"
+	"repro/internal/store"
 	"repro/internal/synth"
 )
 
@@ -164,6 +168,156 @@ func TestDeltaHTTPIncremental(t *testing.T) {
 	}
 	if adopted, _ := parseIncremental(t, httpResp.Header.Get("X-Incremental")); adopted == 0 {
 		t.Error("post-restart delta adopted nothing from the persisted store")
+	}
+}
+
+// TestDeltaCachedFingerprintResolves: a delta answered from the
+// response cache — the edited design was synthesized directly, never
+// through delta — still persists the edited design, so the fingerprint
+// it returns resolves and chains the next edit as baseFingerprint.
+func TestDeltaCachedFingerprintResolves(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	defer st.Close()
+	svc := New(Config{Store: st})
+	ctx := context.Background()
+	base := designs.Lookup("Podium Timer 3").Build()
+
+	edits := paramTweak(t, base, 1)
+	edited, err := synth.ApplyEdits(base, edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := svc.Synthesize(ctx, Request{Design: edited}); err != nil {
+		t.Fatal(err)
+	}
+	resp, _, src, err := svc.Delta(ctx, Request{Design: base}, edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src != SourceMemory {
+		t.Errorf("delta of a synthesized design: source %v, want memory", src)
+	}
+	if _, err := svc.DesignByFingerprint(resp.DesignHash); err != nil {
+		t.Errorf("cached delta's design fingerprint does not resolve: %v", err)
+	}
+
+	// The same over HTTP, with a second edit: the X-Design-Fingerprint
+	// of a cached answer is a valid baseFingerprint.
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	baseJSON, err := netlist.MarshalJSON(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edits = paramTweak(t, base, 2)
+	if edited, err = synth.ApplyEdits(base, edits); err != nil {
+		t.Fatal(err)
+	}
+	editedJSON, err := netlist.MarshalJSON(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if httpResp, body := postJSON(t, ts.URL+"/v1/synthesize", JSONRequest{Design: editedJSON}); httpResp.StatusCode != http.StatusOK {
+		t.Fatalf("synthesize: status %d: %s", httpResp.StatusCode, body)
+	}
+	httpResp, body := postJSON(t, ts.URL+"/v1/delta", DeltaJSONRequest{Design: baseJSON, Edits: edits})
+	if httpResp.StatusCode != http.StatusOK || httpResp.Header.Get("X-Cache") != "memory" {
+		t.Fatalf("delta: status %d X-Cache %q, want 200 memory: %s", httpResp.StatusCode, httpResp.Header.Get("X-Cache"), body)
+	}
+	chain := DeltaJSONRequest{BaseFingerprint: httpResp.Header.Get("X-Design-Fingerprint"), Edits: paramTweak(t, edited, 3)}
+	if httpResp, body := postJSON(t, ts.URL+"/v1/delta", chain); httpResp.StatusCode != http.StatusOK {
+		t.Errorf("delta by a cached answer's fingerprint: status %d, want 200: %s", httpResp.StatusCode, body)
+	}
+}
+
+// gateBackend is a remote tier that holds every Get until release is
+// closed and then misses: it parks a flight's winner at its first
+// store lookup, so the test decides when the flight completes.
+type gateBackend struct{ release chan struct{} }
+
+func (g gateBackend) Get(store.Key) ([]byte, bool) {
+	<-g.release
+	return nil, false
+}
+func (g gateBackend) Put(store.Key, []byte) error   { return nil }
+func (g gateBackend) Stats() (s store.BackendStats) { return s }
+func (g gateBackend) Close() error                  { return nil }
+
+// waitingCtx signals once when a caller first asks for its Done
+// channel: a coalesced flight waiter does so as it starts waiting,
+// while a flight's winner computes detached and never does.
+type waitingCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan<- struct{}
+}
+
+func (c *waitingCtx) Done() <-chan struct{} {
+	c.once.Do(func() { c.waiting <- struct{}{} })
+	return c.Context.Done()
+}
+
+// TestDeltaCoalesces sends identical concurrent deltas to a cold,
+// disk-backed service: exactly one pipeline run happens, the rest
+// coalesce onto its flight and report its tier and split, and every
+// response is byte-identical.
+func TestDeltaCoalesces(t *testing.T) {
+	gate := gateBackend{release: make(chan struct{})}
+	st, err := store.Open(t.TempDir(), store.Options{Remote: gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	svc := New(Config{Store: st})
+	edits := paramTweak(t, designs.Lookup("Timed Passage").Build(), 1)
+
+	const n = 8
+	waiting := make(chan struct{}, n)
+	raws := make([][]byte, n)
+	srcs := make([]Source, n)
+	stats := make([]synth.DeltaStats, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ctx := &waitingCtx{Context: context.Background(), waiting: waiting}
+			resp, ds, src, err := svc.Delta(ctx, Request{Design: designs.Lookup("Timed Passage").Build()}, edits)
+			if err != nil {
+				t.Errorf("delta %d: %v", i, err)
+				return
+			}
+			raws[i], _ = json.Marshal(resp)
+			srcs[i], stats[i] = src, ds
+		}(i)
+	}
+	// Hold the winner at its first store lookup until the other deltas
+	// wait on its flight.
+	deadline := time.After(10 * time.Second)
+wait:
+	for joined := 0; joined < n-1; joined++ {
+		select {
+		case <-waiting:
+		case <-deadline:
+			t.Errorf("%d of %d deltas joined the flight", joined, n-1)
+			break wait
+		}
+	}
+	close(gate.release)
+	wg.Wait()
+
+	for i := 1; i < n; i++ {
+		if !bytes.Equal(raws[i], raws[0]) {
+			t.Errorf("delta %d response differs from delta 0", i)
+		}
+	}
+	for i := range srcs {
+		if srcs[i] != SourceMiss || stats[i] != stats[0] {
+			t.Errorf("delta %d: source %v split %+v, want the flight's miss %+v", i, srcs[i], stats[i], stats[0])
+		}
+	}
+	if ss := svc.Stats(); ss.CacheMisses != 1 || ss.Coalesced != n-1 || ss.DeltaRequests != n {
+		t.Errorf("misses=%d coalesced=%d deltaRequests=%d, want 1, %d, %d", ss.CacheMisses, ss.Coalesced, ss.DeltaRequests, n-1, n)
 	}
 }
 

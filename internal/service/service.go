@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/bench"
@@ -100,30 +99,29 @@ type Service struct {
 	// SynthesizeAll calls, so parallel /v1/batch requests cannot
 	// multiply the worker pool past Config.Workers.
 	sem chan struct{}
-	// partMu/partInflight coalesce identical concurrent partition
-	// computations (see Partition): the winner populates the store's
-	// stage cache, waiters block on the channel and then read it.
-	partMu       sync.Mutex
-	partInflight map[string]chan struct{}
-	// synthGroup/simGroup/verifyGroup coalesce identical concurrent
-	// synthesis, simulation and verification computations onto one
-	// flight each (see Synthesize, Simulate, Verify). All three share
-	// the ctx-aware flight.Group: a waiter whose client disconnects stops
+	// synthGroup coalesces identical concurrent synthesis and delta
+	// computations onto one flight (see synthesize); simGroup and
+	// verifyGroup do the same for simulation and verification (see
+	// Simulate, Verify). A waiter whose client disconnects stops
 	// waiting immediately; the winner's computation keeps running
-	// detached and still populates the caches.
+	// detached and still populates the caches. partGroup coalesces
+	// partition requests but shares no result (see Partition).
 	synthGroup  flight.Group[synthOutcome]
 	simGroup    flight.Group[*SimulateResponse]
 	verifyGroup flight.Group[verifyOutcome]
+	partGroup   flight.Group[struct{}]
 	// adm is the overload gate in front of the pipeline routes
 	// (nil when neither MaxInflight nor QuotaRPS is configured).
 	adm *admission
 }
 
-// synthOutcome is what a synthesis flight produces: the response plus
-// the store tier that served it (TierNone when it was computed).
+// synthOutcome is what a synthesis flight produces: the response, the
+// store tier that served it (TierNone when it was computed) and the
+// stage-cache split of the run that computed it (zero when served).
 type synthOutcome struct {
-	resp *Response
-	tier store.Tier
+	resp  *Response
+	tier  store.Tier
+	stats synth.DeltaStats
 }
 
 // New builds a Service, over a memory-only store when cfg.Store is
@@ -135,11 +133,10 @@ func New(cfg Config) *Service {
 		st, _ = store.Open("", store.Options{})
 	}
 	return &Service{
-		cfg:          cfg,
-		store:        st,
-		sem:          make(chan struct{}, cfg.workers()),
-		partInflight: map[string]chan struct{}{},
-		adm:          newAdmission(cfg),
+		cfg:   cfg,
+		store: st,
+		sem:   make(chan struct{}, cfg.workers()),
+		adm:   newAdmission(cfg),
 	}
 }
 
@@ -225,19 +222,26 @@ func (s Source) String() string {
 // synthesis pipeline in this process.
 func (s Source) Cached() bool { return s != SourceMiss }
 
-// served maps the store tier that held a result onto its Source and
-// its stats outcome; TierNone means the result was computed.
-func served(t store.Tier) (Source, outcome) {
+// served maps the store tier that held a flight's result onto its
+// Source and stats outcome (TierNone means the result was computed);
+// a failed flight counts as an error and a joined one as coalesced.
+func served(t store.Tier, coalesced bool, err error) (Source, outcome) {
+	source, o := SourceMiss, outcomeMiss
 	switch t {
 	case store.TierMemory:
-		return SourceMemory, outcomeMemoryHit
+		source, o = SourceMemory, outcomeMemoryHit
 	case store.TierDisk:
-		return SourceDisk, outcomeDiskHit
+		source, o = SourceDisk, outcomeDiskHit
 	case store.TierRemote:
-		return SourceRemote, outcomeRemoteHit
-	default:
-		return SourceMiss, outcomeMiss
+		source, o = SourceRemote, outcomeRemoteHit
 	}
+	switch {
+	case err != nil:
+		o = outcomeError
+	case coalesced:
+		o = outcomeCoalesced
+	}
+	return source, o
 }
 
 // stageResponse names full synthesis responses in the artifact store;
@@ -313,14 +317,13 @@ func StageCacheOver(st *store.Store) synth.StageCache {
 // Synthesize runs (or serves from cache) one synthesis job, reporting
 // the tier that served it; cached responses — memory, disk or remote —
 // are byte-for-byte identical to cold ones. Identical concurrent
-// requests share one flight, which reads the store once and computes
-// only on a miss, so a coalesced waiter reports the flight's tier. The
-// context gates admission and waiting (a request whose context is
-// already cancelled fails fast, and a coalesced waiter whose client
-// disconnects stops waiting), but a cold run, once started, is
-// completed and cached detached from the originating context — so a
-// client disconnect can never poison the coalesced requests waiting on
-// the same flight.
+// requests share one flight (see synthesize), so a coalesced waiter
+// reports the flight's tier. The context gates admission and waiting
+// (a request whose context is already cancelled fails fast, and a
+// coalesced waiter whose client disconnects stops waiting), but a cold
+// run, once started, is completed and cached detached from the
+// originating context — so a client disconnect can never poison the
+// coalesced requests waiting on the same flight.
 func (s *Service) Synthesize(ctx context.Context, req Request) (*Response, Source, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -332,12 +335,24 @@ func (s *Service) Synthesize(ctx context.Context, req Request) (*Response, Sourc
 		s.stats.observe(time.Since(start), outcomeError)
 		return nil, SourceMiss, err
 	}
-	sk := ca.StageKey()
+	out, coalesced, err := s.synthesize(ctx, ca)
+	source, o := served(out.tier, coalesced, err)
+	s.stats.observe(time.Since(start), o)
+	return out.resp, source, err
+}
 
-	out, coalesced, err := s.synthGroup.Do(ctx, sk.String(), func() (synthOutcome, error) {
-		// A response cached by this process, persisted by an earlier
-		// one, or written by another instance of the fleet (the
-		// store's remote tier) skips synthesis entirely.
+// synthesize is the one synthesis flight, shared by Synthesize and
+// Delta and keyed on the capture's stage key, so identical concurrent
+// requests through either route run the pipeline once. The flight
+// serves a response cached by this process, persisted by an earlier
+// one or written by another instance of the fleet (the store's remote
+// tier); fails fast on a negative-cache marker; and otherwise runs the
+// cached pipeline tail — adopting and populating the partitioned and
+// per-partition merge artifacts — and saves the response. The bool
+// reports whether this call joined another's flight.
+func (s *Service) synthesize(ctx context.Context, ca *synth.Captured) (synthOutcome, bool, error) {
+	sk := ca.StageKey()
+	return s.synthGroup.Do(ctx, sk.String(), func() (synthOutcome, error) {
 		if r, tier, ok := s.loadResponse(sk); ok {
 			return synthOutcome{resp: r, tier: tier}, nil
 		}
@@ -348,41 +363,18 @@ func (s *Service) Synthesize(ctx context.Context, req Request) (*Response, Sourc
 			s.stats.observeInfeasibleHit()
 			return synthOutcome{}, synth.ErrUnrealizable
 		}
-		// Cold path: partition, then merge with per-partition artifact
-		// caching — a cold synthesis populates the store with each
-		// partition's merge artifact, which is what later /v1/delta
-		// requests adopt.
-		cache := &stages{store: s.store}
-		pt, _, err := ca.PartitionCached(context.WithoutCancel(ctx), cache)
+		em, ds, err := synth.SynthesizeCaptured(context.WithoutCancel(ctx), ca, &stages{store: s.store})
 		if err != nil {
 			return synthOutcome{}, s.noteInfeasible(sk, err)
 		}
-		mg, ms, err := pt.MergeCached(cache)
-		if err != nil {
-			return synthOutcome{}, s.noteInfeasible(sk, err)
-		}
-		s.stats.observePartitions(ms.Adopted, ms.Recomputed)
-		em, err := mg.Emit()
-		if err != nil {
-			return synthOutcome{}, err
-		}
+		s.stats.observePartitions(ds.Adopted, ds.Recomputed)
 		r, err := NewResponse(em.Output(), ca)
 		if err != nil {
 			return synthOutcome{}, err
 		}
 		s.saveResponse(sk, r)
-		return synthOutcome{resp: r, tier: store.TierNone}, nil
+		return synthOutcome{resp: r, tier: store.TierNone, stats: ds}, nil
 	})
-
-	source, o := served(out.tier)
-	switch {
-	case err != nil:
-		o = outcomeError
-	case coalesced:
-		o = outcomeCoalesced
-	}
-	s.stats.observe(time.Since(start), o)
-	return out.resp, source, err
 }
 
 // SynthesizeAll runs a batch of jobs over the bench worker pool,
@@ -419,53 +411,44 @@ func (s *Service) SynthesizeAll(ctx context.Context, reqs []Request) ([]*Respons
 // computation.
 func (s *Service) Partition(ctx context.Context, req Request) (*PartitionResponse, Source, error) {
 	start := time.Now()
+	fail := func(err error) (*PartitionResponse, Source, error) {
+		s.stats.observe(time.Since(start), outcomeError)
+		return nil, SourceMiss, err
+	}
 	ca, err := synth.Capture(req.Design, req.synthOptions())
 	if err != nil {
-		s.stats.observe(time.Since(start), outcomeError)
-		return nil, SourceMiss, err
+		return fail(err)
 	}
 	// Coalesce identical concurrent partition computations: the first
-	// request through computes and writes the stage artifact; the rest
-	// wait on its channel and then serve from the store the winner just
-	// populated (each decodes against its own design build). This is
-	// deliberately looser than the flight.Group-based flights: no
-	// result or error is shared, so a waiter whose winner failed (or
-	// panicked — the deferred close still runs) simply falls through to
-	// computing itself. The inflight key matches the stage artifact's
-	// own key — the structural fingerprint — so requests that differ
-	// only in parameters (same partitioning) coalesce too.
-	k := ca.StructKey().String()
-	s.partMu.Lock()
-	if ch, inflight := s.partInflight[k]; inflight {
-		s.partMu.Unlock()
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			s.stats.observe(time.Since(start), outcomeError)
-			return nil, SourceMiss, ctx.Err()
-		}
-	} else {
-		ch = make(chan struct{})
-		s.partInflight[k] = ch
-		s.partMu.Unlock()
-		defer func() {
-			s.partMu.Lock()
-			delete(s.partInflight, k)
-			s.partMu.Unlock()
-			close(ch)
-		}()
-	}
+	// request computes under its own context (a client disconnect
+	// cancels an exhaustive search) and writes the stage artifact; the
+	// rest wait, then serve from the store the winner just populated
+	// (each decodes against its own design build). No result or error
+	// is shared, so a waiter whose winner failed or panicked simply
+	// computes itself. The flight key is the stage artifact's own key —
+	// the structural fingerprint — so requests that differ only in
+	// parameters (same partitioning) coalesce too.
 	st := &stages{store: s.store}
-	pt, hit, err := ca.PartitionCached(ctx, st)
+	var pt *synth.Partitioned
+	var hit bool
+	_, coalesced, werr := s.partGroup.Do(ctx, ca.StructKey().String(), func() (struct{}, error) {
+		pt, hit, err = ca.PartitionCached(ctx, st)
+		return struct{}{}, nil
+	})
+	if coalesced {
+		if werr != nil && ctx.Err() != nil {
+			return fail(werr)
+		}
+		pt, hit, err = ca.PartitionCached(ctx, st)
+	}
 	if err != nil {
-		s.stats.observe(time.Since(start), outcomeError)
-		return nil, SourceMiss, err
+		return fail(err)
 	}
 	tier := store.TierNone
 	if hit {
 		tier = st.tier
 	}
-	source, o := served(tier)
+	source, o := served(tier, false, nil)
 	resp := partitionSummary(ca, pt.Result)
 	s.stats.observe(time.Since(start), o)
 	return &resp, source, nil

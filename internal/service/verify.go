@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/synth"
@@ -70,8 +71,11 @@ func (j VerifyJob) verifyOptions(ctx context.Context, maxEvents int) synth.Verif
 // under the "verified.v1" stage, written to the store and served from
 // its tiers (across restarts when it has a disk). A warm verification
 // therefore skips merge, emit, and both simulations — only capture and
-// the (itself stage-cached) partition summary are rebuilt. Identical
-// concurrent requests coalesce onto one computation.
+// the (itself stage-cached) partition summary are rebuilt. A cold one
+// runs the synthesis pipeline tail (synth.SynthesizeCaptured, adopting
+// and writing stage artifacts like every other cold run) and then the
+// verify stage. Identical concurrent requests coalesce onto one
+// computation.
 func (s *Service) Verify(ctx context.Context, job VerifyJob) (*VerifyResponse, Source, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -88,29 +92,26 @@ func (s *Service) Verify(ctx context.Context, job VerifyJob) (*VerifyResponse, S
 	// concrete stimuli. The computation runs detached from the request
 	// context (like Synthesize), so a client disconnect cannot poison
 	// coalesced waiters; the event budget bounds runaway simulations.
-	opts := job.verifyOptions(context.WithoutCancel(ctx), s.capSimEvents(job.MaxEvents)).Resolved(ca.Design)
+	detached := context.WithoutCancel(ctx)
+	opts := job.verifyOptions(detached, s.capSimEvents(job.MaxEvents)).Resolved(ca.Design)
 	key := ca.VerifyStageKey(opts)
 
 	out, coalesced, err := s.verifyGroup.Do(ctx, key.String(), func() (verifyOutcome, error) {
 		// A verified artifact cached by an earlier request (or
-		// process) answers from the capture stage alone.
+		// process) answers from the capture stage alone: the partition
+		// summary is rebuilt from its own stage artifact (cached by the
+		// same cold run that cached the verification), never by running
+		// the partitioner twice for one answer.
 		cache := &stages{store: s.store}
 		if n, mm, ok := ca.LookupVerified(cache, opts); ok {
-			resp, err := s.verifyResponse(ctx, ca, mm, opts, n)
+			tier := cache.tier
+			pt, _, err := ca.PartitionCached(detached, cache)
 			if err != nil {
 				return verifyOutcome{}, err
 			}
-			return verifyOutcome{resp: resp, tier: cache.tier}, nil
+			return verifyOutcome{resp: verifyResponse(ca, pt.Result, mm, opts, n), tier: tier}, nil
 		}
-		pt, _, err := ca.PartitionCached(context.WithoutCancel(ctx), cache)
-		if err != nil {
-			return verifyOutcome{}, err
-		}
-		mg, err := pt.Merge()
-		if err != nil {
-			return verifyOutcome{}, err
-		}
-		em, err := mg.Emit()
+		em, _, err := synth.SynthesizeCaptured(detached, ca, cache)
 		if err != nil {
 			return verifyOutcome{}, err
 		}
@@ -118,43 +119,24 @@ func (s *Service) Verify(ctx context.Context, job VerifyJob) (*VerifyResponse, S
 		if err != nil {
 			return verifyOutcome{}, err
 		}
-		resp := &VerifyResponse{
-			PartitionResponse: partitionSummary(ca, pt.Result),
-			Equivalent:        len(v.Mismatches) == 0,
-			Mismatches:        mismatchesOrEmpty(v.Mismatches),
-			StimulusHash:      synth.StimuliHash(opts.Stimuli),
-			StimuliCount:      len(opts.Stimuli),
-		}
-		return verifyOutcome{resp: resp, tier: store.TierNone}, nil
+		return verifyOutcome{resp: verifyResponse(ca, em.Result, v.Mismatches, opts, len(opts.Stimuli)), tier: store.TierNone}, nil
 	})
 
-	source, o := served(out.tier)
-	switch {
-	case err != nil:
-		o = outcomeError
-	case coalesced:
-		o = outcomeCoalesced
-	}
+	source, o := served(out.tier, coalesced, err)
 	s.stats.observeClass(time.Since(start), o, classVerify)
 	return out.resp, source, err
 }
 
-// verifyResponse assembles the response for a verified-stage hit: the
-// partition summary is rebuilt from its own stage artifact (cached by
-// the same cold run that cached the verification), never by running
-// the partitioner twice for one answer.
-func (s *Service) verifyResponse(ctx context.Context, ca *synth.Captured, mm []synth.Mismatch, opts synth.VerifyOptions, stimuli int) (*VerifyResponse, error) {
-	pt, _, err := ca.PartitionCached(context.WithoutCancel(ctx), &stages{store: s.store})
-	if err != nil {
-		return nil, err
-	}
+// verifyResponse assembles the wire form of a verification outcome
+// over the partitioning it verified.
+func verifyResponse(ca *synth.Captured, res *core.Result, mm []synth.Mismatch, opts synth.VerifyOptions, stimuli int) *VerifyResponse {
 	return &VerifyResponse{
-		PartitionResponse: partitionSummary(ca, pt.Result),
+		PartitionResponse: partitionSummary(ca, res),
 		Equivalent:        len(mm) == 0,
 		Mismatches:        mismatchesOrEmpty(mm),
 		StimulusHash:      synth.StimuliHash(opts.Stimuli),
 		StimuliCount:      stimuli,
-	}, nil
+	}
 }
 
 // mismatchesOrEmpty normalizes a nil mismatch list to an empty one, so

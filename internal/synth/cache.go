@@ -122,36 +122,39 @@ type StageCache interface {
 	PutStage(stage string, key StageKey, data []byte)
 }
 
-// PartitionCached is Partition with stage-level memoization: on a
-// cache hit the partitioning result is decoded and adopted without
-// running the algorithm, so callers that sweep emission-side options
-// — or re-synthesize a design partitioned in an earlier process —
-// reuse the expensive partition stage. The cache is keyed on the
-// structural fingerprint (StructKey): designs differing only in
-// parameters or programs share one entry. A nil cache, a miss, or an
-// undecodable entry all fall back to computing; the returned bool
-// reports whether the artifact came from the cache.
+// PartitionCached runs the configured partitioning algorithm, with
+// stage-level memoization: on a cache hit the partitioning result is
+// decoded and adopted without running the algorithm, so callers that
+// sweep emission-side options — or re-synthesize a design partitioned
+// in an earlier process — reuse the expensive partition stage. The
+// cache is keyed on the structural fingerprint (StructKey): designs
+// differing only in parameters or programs share one entry. A nil
+// cache, a miss, or an undecodable entry all fall back to computing;
+// the returned bool reports whether the artifact came from the cache.
+// The context cancels long runs (it reaches the algorithm through
+// core.Options).
 func (ca *Captured) PartitionCached(ctx context.Context, cache StageCache) (*Partitioned, bool, error) {
-	if cache == nil {
-		pt, err := ca.Partition(ctx)
-		return pt, false, err
-	}
-	key := ca.StructKey()
-	if raw, ok := cache.GetStage(StagePartitioned, key); ok {
-		if res, err := decodeResult(raw, ca.Design.Graph()); err == nil {
-			return ca.Adopt(res), true, nil
+	var key StageKey
+	if cache != nil {
+		key = ca.StructKey()
+		if raw, ok := cache.GetStage(StagePartitioned, key); ok {
+			if res, err := decodeResult(raw, ca.Design.Graph()); err == nil {
+				return ca.Adopt(res), true, nil
+			}
+			// Undecodable (e.g. written against a different design that
+			// collided, or an older encoding): recompute below.
 		}
-		// Undecodable (e.g. written against a different design that
-		// collided, or an older encoding): recompute below.
 	}
-	pt, err := ca.Partition(ctx)
+	res, err := core.Partition(ca.Design.Graph(), ca.Algorithm, ca.Constraints, core.Options{Ctx: ctx})
 	if err != nil {
-		return nil, false, err
+		return nil, false, fmt.Errorf("synth: %w", err)
 	}
-	if raw, err := encodeResult(pt.Result, ca.Design.Graph()); err == nil {
-		cache.PutStage(StagePartitioned, key, raw)
+	if cache != nil {
+		if raw, err := encodeResult(res, ca.Design.Graph()); err == nil {
+			cache.PutStage(StagePartitioned, key, raw)
+		}
 	}
-	return pt, false, nil
+	return ca.Adopt(res), false, nil
 }
 
 // resultWire is the portable encoding of a core.Result. Nodes are

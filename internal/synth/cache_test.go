@@ -69,11 +69,11 @@ func TestPartitionCached(t *testing.T) {
 	}
 	// The adopted artifact must flow through the rest of the pipeline
 	// to the identical synthesized network.
-	coldOut, err := cold.Merge()
+	coldOut, _, err := cold.MergeCached(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmOut, err := warm.Merge()
+	warmOut, _, err := warm.MergeCached(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestPartitionCachedBadEntryFallsBack(t *testing.T) {
 
 func mustPartition(t *testing.T, ca *Captured) *Partitioned {
 	t.Helper()
-	pt, err := ca.Partition(context.Background())
+	pt, _, err := ca.PartitionCached(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -265,29 +265,18 @@ type DeltaStats struct {
 	Recomputed int `json:"recomputed"`
 }
 
-// RunCached executes capture → partition → merge → emit with stage
-// caching throughout: the partitioning is keyed on the structural
-// fingerprint and each partition's merge artifact on its subgraph
-// fingerprint. Results are byte-identical to Run. This is the warm
-// path both full synthesis (populating the per-partition artifacts)
-// and incremental synthesis (adopting them) go through.
-func RunCached(ctx context.Context, d *netlist.Design, opts Options, cache StageCache) (*Emitted, DeltaStats, error) {
-	ca, err := Capture(d, opts)
-	if err != nil {
-		return nil, DeltaStats{}, err
-	}
-	return runCaptured(ctx, ca, cache)
-}
-
 // CaptureDelta applies an edit list to a captured base design and
-// returns the edited design's capture. The constraints, algorithm, and
-// tuning knobs carry over from the base capture unchanged — the base's
-// parameters are already resolved (defaults applied, convexity guard
-// decided), so the edited capture reuses them verbatim instead of
-// going back through option resolution. Callers that need the edited
-// design's content address before deciding whether to synthesize
-// (cache probes) capture first, then hand the capture to
-// SynthesizeCaptured.
+// returns the edited design's capture. The constraints and algorithm
+// carry over from the base capture unchanged — the base's parameters
+// are already resolved (defaults applied, convexity guard decided), so
+// the edited capture reuses them verbatim instead of going back
+// through option resolution. Incremental synthesis is CaptureDelta
+// followed by SynthesizeCaptured over a warm stage cache: every
+// artifact the edits did not invalidate is adopted, and the emitted
+// artifact is byte-identical to a cold full synthesis of the edited
+// design. Callers that need the edited design's content address
+// before deciding whether to synthesize (cache probes) read it from
+// the capture in between.
 func CaptureDelta(base *Captured, edits []Edit) (*Captured, error) {
 	edited, err := ApplyEdits(base.Design, edits)
 	if err != nil {
@@ -297,7 +286,6 @@ func CaptureDelta(base *Captured, edits []Edit) (*Captured, error) {
 		Design:      edited,
 		Constraints: base.Constraints,
 		Algorithm:   base.Algorithm,
-		Core:        base.Core,
 	}
 	// Partition-stability pass: parameter and program edits cannot
 	// change graph structure, so the edited design's structural
@@ -310,30 +298,12 @@ func CaptureDelta(base *Captured, edits []Edit) (*Captured, error) {
 	return ca, nil
 }
 
-// SynthesizeCaptured runs the cached pipeline tail — partition, merge,
-// emit, each stage adopting artifacts from the cache — over an
-// existing capture. It is RunCached without the capture step, for
-// callers that captured early to probe caches by content address.
+// SynthesizeCaptured is the one pipeline tail — partition (stage
+// cache keyed structurally), merge (per-partition artifacts), emit —
+// over an existing capture. Each stage adopts what the cache holds and
+// writes back what it computes; a nil cache computes every stage.
+// DeltaStats reports how much work the cache absorbed.
 func SynthesizeCaptured(ctx context.Context, ca *Captured, cache StageCache) (*Emitted, DeltaStats, error) {
-	return runCaptured(ctx, ca, cache)
-}
-
-// SynthesizeDelta applies an edit list to a captured base design and
-// synthesizes the edited design incrementally, adopting every
-// partition artifact the edits did not invalidate. The emitted
-// artifact is byte-identical to a cold full synthesis of the edited
-// design; DeltaStats reports how much work the cache absorbed.
-func SynthesizeDelta(ctx context.Context, base *Captured, edits []Edit, cache StageCache) (*Emitted, DeltaStats, error) {
-	ca, err := CaptureDelta(base, edits)
-	if err != nil {
-		return nil, DeltaStats{}, err
-	}
-	return runCaptured(ctx, ca, cache)
-}
-
-// runCaptured is the shared cached pipeline tail: partition (stage
-// cache keyed structurally) → merge (per-partition artifacts) → emit.
-func runCaptured(ctx context.Context, ca *Captured, cache StageCache) (*Emitted, DeltaStats, error) {
 	pt, partHit, err := ca.PartitionCached(ctx, cache)
 	if err != nil {
 		return nil, DeltaStats{}, err

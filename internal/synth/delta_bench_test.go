@@ -25,6 +25,16 @@ func oneBlockEdit(d *netlist.Design) []Edit {
 	return scns["program-override"]
 }
 
+// runCached is a full synthesis with default options over the stage
+// cache: capture, then the pipeline tail.
+func runCached(ctx context.Context, d *netlist.Design, cache StageCache) (*Emitted, DeltaStats, error) {
+	ca, err := Capture(d, Options{})
+	if err != nil {
+		return nil, DeltaStats{}, err
+	}
+	return SynthesizeCaptured(ctx, ca, cache)
+}
+
 func (c *mapStageCache) clone() *mapStageCache {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -54,8 +64,9 @@ func deltaBenchCases() []struct {
 // BenchmarkDeltaSynthesis compares, for a one-block edit:
 //
 //	cold-full:  ApplyEdits + full synthesis, no cache anywhere
-//	delta-warm: SynthesizeDelta against a store warmed by one full
-//	            run of the base design (the interactive hot path)
+//	delta-warm: CaptureDelta + SynthesizeCaptured against a store
+//	            warmed by one full run of the base design (the
+//	            interactive hot path)
 //	warm-full:  full cached run of the unedited design (everything
 //	            adopted — the upper bound on cache benefit)
 func BenchmarkDeltaSynthesis(b *testing.B) {
@@ -85,7 +96,7 @@ func BenchmarkDeltaSynthesis(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := runCaptured(ctx, ca, warm); err != nil {
+			if _, _, err := SynthesizeCaptured(ctx, ca, warm); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -95,7 +106,7 @@ func BenchmarkDeltaSynthesis(b *testing.B) {
 				b.StopTimer()
 				cache := warm.clone()
 				b.StartTimer()
-				if _, _, err := SynthesizeDelta(ctx, ca, edits, cache); err != nil {
+				if _, _, err := synthesizeDelta(ctx, ca, edits, cache); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -103,12 +114,12 @@ func BenchmarkDeltaSynthesis(b *testing.B) {
 
 		b.Run(tc.name+"/warm-full", func(b *testing.B) {
 			cache := newMapStageCache()
-			if _, _, err := RunCached(ctx, tc.build(), Options{}, cache); err != nil {
+			if _, _, err := runCached(ctx, tc.build(), cache); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := RunCached(ctx, tc.build(), Options{}, cache); err != nil {
+				if _, _, err := runCached(ctx, tc.build(), cache); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -116,13 +127,14 @@ func BenchmarkDeltaSynthesis(b *testing.B) {
 	}
 }
 
-// TestDeltaSpeedup is the PR's acceptance bar: a one-block edit on the
-// largest library design must synthesize at least 5x faster through
-// SynthesizeDelta over a warm store than through a cold full
-// synthesis. "Cold" is the service's cold path — RunCached over an
-// empty store, which is what the first request for a design costs once
-// the service routes merges through MergeCached: full partitioning and
-// merging plus fingerprinting and artifact encoding for the store.
+// TestDeltaSpeedup is the incremental path's acceptance bar: a
+// one-block edit on the largest library design must synthesize at
+// least 5x faster through CaptureDelta + SynthesizeCaptured over a
+// warm store than through a cold full synthesis. "Cold" is the
+// service's cold path — capture plus SynthesizeCaptured over an empty
+// store, which is what the first request for a design costs: full
+// partitioning and merging plus fingerprinting and artifact encoding
+// for the store.
 // Both sides are measured as best-of-N inside each round, and the best
 // round's ratio is asserted (bench.BestRatio) so a loaded CI machine
 // cannot fail a floor that holds in a quiet window.
@@ -159,7 +171,7 @@ func TestDeltaSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := runCaptured(ctx, ca, warm); err != nil {
+	if _, _, err := SynthesizeCaptured(ctx, ca, warm); err != nil {
 		t.Fatal(err)
 	}
 	// First delta call recomputes the edited partition and stores its
@@ -167,7 +179,7 @@ func TestDeltaSpeedup(t *testing.T) {
 	// interactive session sits in, where the shared store has absorbed
 	// every partition.
 	var stats DeltaStats
-	if _, stats, err = SynthesizeDelta(ctx, ca, edits, warm); err != nil {
+	if _, stats, err = synthesizeDelta(ctx, ca, edits, warm); err != nil {
 		t.Fatal(err)
 	}
 	if !stats.PartitionFromCache || stats.Adopted == 0 || stats.Recomputed == 0 {
@@ -180,13 +192,13 @@ func TestDeltaSpeedup(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := RunCached(ctx, edited, Options{}, newMapStageCache()); err != nil {
+			if _, _, err := runCached(ctx, edited, newMapStageCache()); err != nil {
 				t.Fatal(err)
 			}
 		})
 		delta := best(func() {
 			var err error
-			if _, stats, err = SynthesizeDelta(ctx, ca, edits, warm); err != nil {
+			if _, stats, err = synthesizeDelta(ctx, ca, edits, warm); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -129,10 +129,21 @@ func emittedBytes(t *testing.T, em *Emitted) []byte {
 	return b.Bytes()
 }
 
+// synthesizeDelta is incremental synthesis: CaptureDelta on the base
+// capture, then the pipeline tail over the stage cache.
+func synthesizeDelta(ctx context.Context, base *Captured, edits []Edit, cache StageCache) (*Emitted, DeltaStats, error) {
+	ca, err := CaptureDelta(base, edits)
+	if err != nil {
+		return nil, DeltaStats{}, err
+	}
+	return SynthesizeCaptured(ctx, ca, cache)
+}
+
 // TestDeltaByteIdenticalToFull is the acceptance property for
 // incremental synthesis: for every edit kind and every registered
-// algorithm, SynthesizeDelta over a warm stage cache produces exactly
-// the bytes a cold full synthesis of the edited design produces.
+// algorithm, CaptureDelta + SynthesizeCaptured over a warm stage cache
+// produces exactly the bytes a cold full synthesis of the edited design
+// produces.
 func TestDeltaByteIdenticalToFull(t *testing.T) {
 	ctx := context.Background()
 	for _, designName := range []string{"Podium Timer 3", "Two-Zone Security", "Noise At Night Detector"} {
@@ -159,11 +170,11 @@ func TestDeltaByteIdenticalToFull(t *testing.T) {
 					}
 					// Warm: full synthesis of the base populates the
 					// partitioned stage and the per-partition artifacts.
-					if _, _, err := runCaptured(ctx, baseCa, cache); err != nil {
+					if _, _, err := SynthesizeCaptured(ctx, baseCa, cache); err != nil {
 						t.Fatalf("warm run: %v", err)
 					}
 
-					inc, stats, err := SynthesizeDelta(ctx, baseCa, edits, cache)
+					inc, stats, err := synthesizeDelta(ctx, baseCa, edits, cache)
 					if err != nil {
 						t.Fatalf("delta: %v", err)
 					}

@@ -22,7 +22,10 @@ type MergeStats struct {
 	Recomputed int `json:"recomputed"`
 }
 
-// MergeCached is Merge with per-partition memoization: each
+// MergeCached validates the partitioning against the design and
+// merges each partition's behavior trees into one program, with
+// per-partition memoization. A paper-mode result whose contracted
+// block graph is cyclic fails here with ErrUnrealizable. Each
 // partition's merge artifact is looked up under its subgraph
 // fingerprint (netlist.SubHasher, stage StagePartitionMerge) and only
 // the partitions that miss are merged — the unit of reuse for
@@ -32,9 +35,9 @@ type MergeStats struct {
 // fingerprint covers everything the merged program depends on, and
 // the program text round-trips Format/Parse exactly.
 //
-// A nil cache is equivalent to Merge. A miss, an undecodable entry,
-// or a subgraph that cannot be fingerprinted all fall back to
-// merging that partition in-process.
+// A nil cache merges every partition in-process. A miss, an
+// undecodable entry, or a subgraph that cannot be fingerprinted all
+// fall back to merging that partition in-process.
 func (p *Partitioned) MergeCached(cache StageCache) (*Merged, MergeStats, error) {
 	if err := p.validateForMerge(); err != nil {
 		return nil, MergeStats{}, err

@@ -3,19 +3,26 @@
 // explicit stages, each a pure function from the previous stage's
 // artifact to the next:
 //
-//	Capture   : *netlist.Design + Options  -> *Captured
-//	Partition : *Captured                  -> *Partitioned
-//	Merge     : *Partitioned               -> *Merged
-//	Emit      : *Merged                    -> *Emitted
-//	Verify    : *Emitted                   -> *Verified
+//	Capture   : *netlist.Design + Options  -> *Captured     (Capture)
+//	Partition : *Captured                  -> *Partitioned  (Captured.PartitionCached)
+//	Merge     : *Partitioned               -> *Merged       (Partitioned.MergeCached)
+//	Emit      : *Merged                    -> *Emitted      (Merged.Emit)
+//	Verify    : *Emitted                   -> *Verified     (Emitted.VerifyCached)
+//
+// Each stage has one implementation. The stages that can adopt stored
+// artifacts take a StageCache; a nil cache reads and writes nothing,
+// so the uncached pipeline runs the same code. SynthesizeCaptured is
+// the one partition → merge → emit tail: Run, Synthesize, incremental
+// synthesis (CaptureDelta) and the service all go through it.
 //
 // Artifacts embed their predecessor, so every stage output carries the
 // full provenance of the run. Because stages are pure over their
 // inputs, callers can skip stages (Captured.Adopt brings an external
 // partitioning result into the pipeline), cache stage outputs (the
-// service layer caches Emitted keyed on the design fingerprint), and
-// fan runs out across goroutines (nothing is shared between runs except
-// the read-only input design and its catalog).
+// service stores response.v1 bytes and the partition, merge and verify
+// stage artifacts), and fan runs out across goroutines (nothing is
+// shared between runs except the read-only input design and its
+// catalog).
 package synth
 
 import (
@@ -42,8 +49,6 @@ type Captured struct {
 	Constraints core.Constraints
 	// Algorithm is the effective partitioner registry name.
 	Algorithm string
-	// Core carries the per-algorithm tuning knobs.
-	Core core.Options
 
 	// keyOnce/key memoize StageKey (the design fingerprint is
 	// expensive); Captured artifacts are shared by pointer, so the
@@ -69,7 +74,6 @@ func Capture(d *netlist.Design, opts Options) (*Captured, error) {
 		Design:      d,
 		Constraints: opts.constraints(),
 		Algorithm:   alg,
-		Core:        opts.Core,
 	}, nil
 }
 
@@ -80,23 +84,10 @@ type Partitioned struct {
 	Result *core.Result
 }
 
-// Partition runs the configured partitioning algorithm. The context
-// cancels long runs (it reaches the algorithm through core.Options).
-func (ca *Captured) Partition(ctx context.Context) (*Partitioned, error) {
-	co := ca.Core
-	if co.Ctx == nil {
-		co.Ctx = ctx
-	}
-	res, err := core.Partition(ca.Design.Graph(), ca.Algorithm, ca.Constraints, co)
-	if err != nil {
-		return nil, fmt.Errorf("synth: %w", err)
-	}
-	return &Partitioned{Captured: ca, Result: res}, nil
-}
-
 // Adopt wraps an externally produced partitioning result as a
 // Partitioned artifact — the bring-your-own-partitioner path, which
-// skips the Partition stage entirely. Merge still validates the result.
+// skips the Partition stage entirely. MergeCached still validates the
+// result.
 func (ca *Captured) Adopt(res *core.Result) *Partitioned {
 	return &Partitioned{Captured: ca, Result: res}
 }
@@ -113,35 +104,8 @@ type Merged struct {
 	ProgType *block.Type
 }
 
-// Merge validates the partitioning against the design and merges each
-// partition's behavior trees into one program. A paper-mode result
-// whose contracted block graph is cyclic fails here with
-// ErrUnrealizable.
-func (p *Partitioned) Merge() (*Merged, error) {
-	if err := p.validateForMerge(); err != nil {
-		return nil, err
-	}
-	c := p.Constraints
-	m := &Merged{
-		Partitioned: p,
-		Merges:      make([]*codegen.Merged, len(p.Result.Partitions)),
-		ProgType:    block.ProgrammableType(c.MaxInputs, c.MaxOutputs),
-	}
-	for pi, part := range p.Result.Partitions {
-		mg, err := codegen.MergePartition(p.Design, part)
-		if err != nil {
-			return nil, err
-		}
-		if err := mg.PadPorts(c.MaxInputs, c.MaxOutputs); err != nil {
-			return nil, err
-		}
-		m.Merges[pi] = mg
-	}
-	return m, nil
-}
-
 // validateForMerge checks the partitioning result against the design
-// and the realizability guard shared by Merge and MergeCached: the
+// and the realizability guard before MergeCached merges it: the
 // result must validate under the I/O constraints, and the contracted
 // block graph must be acyclic (ErrUnrealizable otherwise — reachable
 // only for paper-mode results, the convexity guard forbids it).
@@ -332,16 +296,6 @@ type Verified struct {
 	Mismatches []Mismatch
 }
 
-// Verify replays shared stimuli on the original and synthesized designs
-// and records output mismatches.
-func (e *Emitted) Verify(opts VerifyOptions) (*Verified, error) {
-	mm, err := Verify(e.Design, e.Synthesized, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Verified{Emitted: e, Mismatches: mm}, nil
-}
-
 // Output converts the emit artifact to the legacy Output form.
 func (e *Emitted) Output() *Output {
 	out := &Output{
@@ -356,21 +310,14 @@ func (e *Emitted) Output() *Output {
 	return out
 }
 
-// Run executes capture → partition → merge → emit and returns the
-// emitted artifact. Verification is a separate stage the caller opts
-// into (Emitted.Verify).
+// Run executes capture → partition → merge → emit with no stage cache
+// and returns the emitted artifact. Verification is a separate stage
+// the caller opts into (Emitted.VerifyCached).
 func Run(ctx context.Context, d *netlist.Design, opts Options) (*Emitted, error) {
 	ca, err := Capture(d, opts)
 	if err != nil {
 		return nil, err
 	}
-	pt, err := ca.Partition(ctx)
-	if err != nil {
-		return nil, err
-	}
-	mg, err := pt.Merge()
-	if err != nil {
-		return nil, err
-	}
-	return mg.Emit()
+	em, _, err := SynthesizeCaptured(ctx, ca, nil)
+	return em, err
 }

@@ -26,11 +26,11 @@ func TestPipelineStagesMatchSynthesize(t *testing.T) {
 		if !ca.Constraints.RequireConvex {
 			t.Errorf("%s: capture did not apply the convexity guard", name)
 		}
-		pt, err := ca.Partition(context.Background())
+		pt, _, err := ca.PartitionCached(context.Background(), nil)
 		if err != nil {
 			t.Fatalf("%s: partition: %v", name, err)
 		}
-		mg, err := pt.Merge()
+		mg, _, err := pt.MergeCached(nil)
 		if err != nil {
 			t.Fatalf("%s: merge: %v", name, err)
 		}
@@ -67,7 +67,7 @@ func TestPipelineAdopt(t *testing.T) {
 	}
 
 	ca := &synth.Captured{Design: d, Constraints: c, Algorithm: res.Algorithm}
-	mg, err := ca.Adopt(res).Merge()
+	mg, _, err := ca.Adopt(res).MergeCached(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestPipelineVerifyStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := em.Verify(synth.VerifyOptions{Steps: 30})
+	v, _, err := em.VerifyCached(nil, synth.VerifyOptions{Steps: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestPipelineCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ca.Partition(ctx); err == nil {
+	if _, _, err := ca.PartitionCached(ctx, nil); err == nil {
 		t.Error("partition with cancelled context succeeded, want error")
 	}
 
@@ -124,7 +124,7 @@ func TestPipelineCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ca2.Partition(ctx); err == nil {
+	if _, _, err := ca2.PartitionCached(ctx, nil); err == nil {
 		t.Error("exhaustive partition with cancelled context succeeded, want error")
 	}
 }

@@ -36,9 +36,6 @@ type Options struct {
 	// Synthesize returns ErrUnrealizable. Default (false) forces the
 	// guard so synthesis always succeeds.
 	PaperMode bool
-	// Core carries per-algorithm tuning knobs (worker counts, search
-	// bounds, cancellation context) through to the partitioner.
-	Core core.Options
 }
 
 func (o Options) constraints() core.Constraints {
@@ -87,10 +84,11 @@ func Synthesize(d *netlist.Design, opts Options) (*Output, error) {
 
 // Realize builds the synthesized network for an existing partitioning
 // result (allowing callers to bring their own partitioner): the Adopt →
-// Merge → Emit path of the pipeline, skipping Partition.
+// Merge → Emit path of the pipeline, skipping Partition, with no stage
+// cache.
 func Realize(d *netlist.Design, res *core.Result, c core.Constraints) (*Output, error) {
 	ca := &Captured{Design: d, Constraints: c, Algorithm: res.Algorithm}
-	m, err := ca.Adopt(res).Merge()
+	m, _, err := ca.Adopt(res).MergeCached(nil)
 	if err != nil {
 		return nil, err
 	}
