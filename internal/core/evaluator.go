@@ -181,6 +181,6 @@ func (ev *Evaluator) Fits(c Constraints) bool {
 }
 
 // extInCount and outLeavingCount expose the per-port demand counters to
-// pareStep's O(deg) rank computation.
+// rankOf's O(deg) rank computation.
 func (ev *Evaluator) extInCount(p graph.Port) int32      { return ev.extIn[ev.px.id(p)] }
 func (ev *Evaluator) outLeavingCount(p graph.Port) int32 { return ev.outLv[ev.px.id(p)] }

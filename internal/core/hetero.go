@@ -105,7 +105,7 @@ func PareDownHetero(g *graph.Graph, p HeteroProblem, opts PareDownOptions) (*Het
 	res := &HeteroResult{}
 	blocks := graph.NewNodeSet(g.PartitionableNodes()...)
 	ev := NewEvaluator(g)
-	var sc pareScratch
+	rk := newRanker(ev, levels, opts.DisableTieBreaks)
 	accepted := func() []graph.NodeSet {
 		out := make([]graph.NodeSet, len(res.Assignments))
 		for i, a := range res.Assignments {
@@ -115,8 +115,7 @@ func PareDownHetero(g *graph.Graph, p HeteroProblem, opts PareDownOptions) (*Het
 	}
 
 	for blocks.Len() > 0 {
-		ev.Reset()
-		ev.AddSet(blocks)
+		rk.reset(blocks)
 		candidate := ev.Members()
 		for ev.Len() > 0 {
 			res.FitChecks++
@@ -137,8 +136,7 @@ func PareDownHetero(g *graph.Graph, p HeteroProblem, opts PareDownOptions) (*Het
 				candidate.ForEach(blocks.Remove)
 				break
 			}
-			removed, _ := pareStepEval(ev, levels, opts.DisableTieBreaks, &sc)
-			ev.Remove(removed.Node)
+			rk.remove(rk.pick().Node)
 		}
 	}
 	res.Uncovered = uncoveredFromHetero(g, res.Assignments)

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/randgen"
 )
 
 func TestPareDownChain(t *testing.T) {
@@ -253,7 +254,7 @@ func TestIncrementalRankMatchesBruteForce(t *testing.T) {
 	// The O(deg) rank used by pareStep must equal the definitional
 	// brute force: PartitionIO(C\{b}).Total() - PartitionIO(C).Total().
 	rng := rand.New(rand.NewSource(71))
-	levelsOf := func(g *graph.Graph) map[graph.NodeID]int {
+	levelsOf := func(g *graph.Graph) []int {
 		l, err := g.Levels()
 		if err != nil {
 			t.Fatal(err)
@@ -309,5 +310,78 @@ func TestPareDownDeterminism(t *testing.T) {
 		if !res1.Partitions[i].Equal(res2.Partitions[i]) {
 			t.Fatal("partition sets differ between runs")
 		}
+	}
+}
+
+// TestRankerMatchesFromScratch drives PareDown's loop over random
+// designs and budgets and, before every pick, holds the ranker's cached
+// rank and border status of each candidate member equal to pareStep's
+// from-scratch ranking, and its pick equal to pareStep's head.
+func TestRankerMatchesFromScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	f := func() bool {
+		g := randomTestDAG(rng, 2+rng.Intn(30))
+		c := Constraints{MaxInputs: 1 + rng.Intn(3), MaxOutputs: 1 + rng.Intn(3)}
+		noTieBreaks := rng.Intn(4) == 0
+		levels, err := g.Levels()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := NewEvaluator(g)
+		rk := newRanker(ev, levels, noTieBreaks)
+		blocks := graph.NewNodeSet(g.PartitionableNodes()...)
+		for blocks.Len() > 0 {
+			rk.reset(blocks)
+			for {
+				candidate := ev.Members()
+				if ev.Len() == 1 || ev.Fits(c) {
+					candidate.ForEach(blocks.Remove)
+					break
+				}
+				want, border := pareStep(g, candidate, levels, noTieBreaks)
+				wantRank := map[graph.NodeID]int{}
+				for _, rn := range border {
+					wantRank[rn.Node] = rn.Rank
+				}
+				ok := true
+				candidate.ForEach(func(id graph.NodeID) {
+					rank, isBorder := wantRank[id]
+					if (rk.at[id] >= 0) != isBorder || (isBorder && rk.node[id].Rank != rank) {
+						t.Logf("member %v of %v: cached rank %d border %v, from scratch %d border %v",
+							id, candidate, rk.node[id].Rank, rk.at[id] >= 0, rank, isBorder)
+						ok = false
+					}
+				})
+				got := rk.pick()
+				if got != want {
+					t.Logf("candidate %v: picked %+v, from scratch %+v", candidate, got, want)
+					ok = false
+				}
+				if !ok {
+					return false
+				}
+				rk.remove(got.Node)
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPareDownAllocs bounds the allocations of the Section 5.2 scaling
+// run (465 inner blocks, the design of BenchmarkPareDownLargescale): a
+// pare step allocates nothing, so the count is set by the per-candidate
+// and per-partition storage alone.
+func TestPareDownAllocs(t *testing.T) {
+	g := randgen.MustGenerate(randgen.Params{InnerBlocks: 465, Seed: 2005}).Graph()
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := PareDown(g, DefaultConstraints, PareDownOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 5000 {
+		t.Fatalf("PareDown on 465 blocks made %.0f allocations, want at most 5000", allocs)
 	}
 }

@@ -49,7 +49,7 @@ func seedFits(g *graph.Graph, set graph.NodeSet, c Constraints) bool {
 
 // seedPareStep is the original pareStep: per-step port usage maps
 // rebuilt from scratch, O(|candidate| + edges) per call.
-func seedPareStep(g *graph.Graph, candidate graph.NodeSet, levels map[graph.NodeID]int, noTieBreaks bool) (RankedNode, []RankedNode) {
+func seedPareStep(g *graph.Graph, candidate graph.NodeSet, levels []int, noTieBreaks bool) (RankedNode, []RankedNode) {
 	extIn := map[graph.Port]int{}
 	outExt := map[graph.Port]int{}
 	for _, id := range candidate.Sorted() {

@@ -76,20 +76,16 @@ type node struct {
 	pinned bool
 	nin    int
 	nout   int
-	// in[i] is the driver of input pin i, or nil if undriven.
-	in []*Edge
-	// out[i] lists edges leaving output pin i, in insertion order.
-	out [][]Edge
 
-	// Compact adjacency index, maintained by Connect. The hot
-	// partitioning paths (internal/core) walk edges and neighbors of a
-	// node millions of times per run; these flat slices avoid the
-	// per-call map building and copying the per-pin views require.
+	// Adjacency, maintained by Connect. The hot partitioning paths
+	// (internal/core) walk edges and neighbors of a node millions of
+	// times per run, so the edges live in flat slices; the per-pin
+	// views (Driver, OutEdges) are filtered from them.
 	//
-	// inAdj lists all edges entering the node, ordered by input pin.
-	// outAdj lists all edges leaving the node, ordered by output pin
-	// then insertion order. pred and succ list the distinct neighbor
-	// IDs in ascending order.
+	// inAdj lists all edges entering the node, ordered by input pin
+	// (at most one per pin). outAdj lists all edges leaving the node,
+	// ordered by output pin then insertion order. pred and succ list
+	// the distinct neighbor IDs in ascending order.
 	inAdj  []Edge
 	outAdj []Edge
 	pred   []NodeID
@@ -109,6 +105,13 @@ type Graph struct {
 	// rule as the rest of the struct.
 	scratchSeen  []bool
 	scratchStack []NodeID
+
+	// A node has at most one in-edge and one predecessor per input
+	// pin, so AddNode carves its inAdj and pred slices, at capacity
+	// nin, from these shared chunks instead of growing two slices per
+	// node edge by edge.
+	inSlab   []Edge
+	predSlab []NodeID
 }
 
 // New returns an empty graph. Equivalent to new(Graph); provided for
@@ -136,19 +139,38 @@ func (g *Graph) AddNode(name string, role Role, nin, nout int) (NodeID, error) {
 		return InvalidNode, fmt.Errorf("graph: primary output %q must have 0 output ports, got %d", name, nout)
 	}
 	id := NodeID(len(g.nodes))
-	g.nodes = append(g.nodes, node{
-		name: name,
-		role: role,
-		nin:  nin,
-		nout: nout,
-		in:   make([]*Edge, nin),
-		out:  make([][]Edge, nout),
-	})
+	g.nodes = append(g.nodes, node{name: name, role: role, nin: nin, nout: nout,
+		inAdj: carve(&g.inSlab, nin), pred: carve(&g.predSlab, nin)})
 	if g.byName == nil {
 		g.byName = make(map[string]NodeID)
 	}
 	g.byName[name] = id
 	return id, nil
+}
+
+// carve returns an empty slice of capacity n cut from the chunk *slab,
+// starting a new chunk when the current one is short.
+func carve[T any](slab *[]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if cap(*slab)-len(*slab) < n {
+		*slab = make([]T, 0, max(n, 64))
+	}
+	start := len(*slab)
+	*slab = (*slab)[:start+n]
+	return (*slab)[start : start : start+n]
+}
+
+// Grow reserves room for n more nodes, so building a graph of known
+// size does not reallocate its node table as it goes.
+func (g *Graph) Grow(n int) {
+	if free := cap(g.nodes) - len(g.nodes); free < n {
+		g.nodes = append(make([]node, 0, len(g.nodes)+n), g.nodes...)
+	}
+	if g.byName == nil {
+		g.byName = make(map[string]NodeID, n)
+	}
 }
 
 // MustAddNode is AddNode that panics on error; intended for tests and
@@ -175,7 +197,7 @@ func (g *Graph) Connect(from NodeID, fromPin int, to NodeID, toPin int) error {
 	if from == to {
 		return fmt.Errorf("graph: self-loop on node %q", g.nodes[from].name)
 	}
-	if g.nodes[to].in[toPin] != nil {
+	if g.driver(to, toPin) != nil {
 		return fmt.Errorf("graph: input pin %d of node %q is already driven", toPin, g.nodes[to].name)
 	}
 	// Reject cycles eagerly: an edge from->to is safe iff `from` is not
@@ -184,9 +206,6 @@ func (g *Graph) Connect(from NodeID, fromPin int, to NodeID, toPin int) error {
 		return fmt.Errorf("graph: edge %q->%q would create a cycle", g.nodes[from].name, g.nodes[to].name)
 	}
 	e := Edge{From: Port{from, fromPin}, To: Port{to, toPin}}
-	g.nodes[from].out[fromPin] = append(g.nodes[from].out[fromPin], e)
-	ec := e
-	g.nodes[to].in[toPin] = &ec
 	g.edges++
 
 	// Maintain the adjacency index incrementally, preserving the
@@ -321,7 +340,7 @@ func (g *Graph) Lookup(name string) NodeID {
 // Driver returns the edge driving input pin of node n, or nil if the
 // pin is unconnected.
 func (g *Graph) Driver(n NodeID, pin int) *Edge {
-	e := g.nodes[n].in[pin]
+	e := g.driver(n, pin)
 	if e == nil {
 		return nil
 	}
@@ -329,12 +348,26 @@ func (g *Graph) Driver(n NodeID, pin int) *Edge {
 	return &ec
 }
 
+// driver returns the in-edge of node n on input pin, or nil.
+func (g *Graph) driver(n NodeID, pin int) *Edge {
+	in := g.nodes[n].inAdj
+	for i := range in {
+		if in[i].To.Pin == pin {
+			return &in[i]
+		}
+	}
+	return nil
+}
+
 // OutEdges returns the edges leaving output pin of node n, in insertion
 // order. The returned slice is a copy.
 func (g *Graph) OutEdges(n NodeID, pin int) []Edge {
-	src := g.nodes[n].out[pin]
-	out := make([]Edge, len(src))
-	copy(out, src)
+	out := []Edge{}
+	for _, e := range g.nodes[n].outAdj {
+		if e.From.Pin == pin {
+			out = append(out, e)
+		}
+	}
 	return out
 }
 
@@ -475,17 +508,6 @@ func (g *Graph) Clone() *Graph {
 	}
 	for i, nd := range g.nodes {
 		cn := node{name: nd.name, role: nd.role, pinned: nd.pinned, nin: nd.nin, nout: nd.nout}
-		cn.in = make([]*Edge, nd.nin)
-		for pin, e := range nd.in {
-			if e != nil {
-				ec := *e
-				cn.in[pin] = &ec
-			}
-		}
-		cn.out = make([][]Edge, nd.nout)
-		for pin, es := range nd.out {
-			cn.out[pin] = append([]Edge(nil), es...)
-		}
 		cn.inAdj = append([]Edge(nil), nd.inAdj...)
 		cn.outAdj = append([]Edge(nil), nd.outAdj...)
 		cn.pred = append([]NodeID(nil), nd.pred...)

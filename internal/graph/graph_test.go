@@ -250,3 +250,55 @@ func TestDOT(t *testing.T) {
 		}
 	}
 }
+
+// TestPinViewsOverSharedStorage builds a presized graph whose nodes'
+// in-edge and predecessor lists share backing chunks, and checks the
+// per-pin views (Driver, OutEdges), the neighbor views, and that a
+// clone and later edges on either side stay independent.
+func TestPinViewsOverSharedStorage(t *testing.T) {
+	g := New()
+	g.Grow(6)
+	s := g.MustAddNode("s", RolePrimaryInput, 0, 2)
+	a := g.MustAddNode("a", RoleInner, 3, 2)
+	b := g.MustAddNode("b", RoleInner, 2, 1)
+	c := g.MustAddNode("c", RoleInner, 2, 1)
+	o := g.MustAddNode("o", RolePrimaryOutput, 1, 0)
+	g.MustConnect(s, 1, a, 2)
+	g.MustConnect(s, 0, a, 0)
+	g.MustConnect(a, 1, b, 1)
+	g.MustConnect(a, 0, b, 0)
+	g.MustConnect(a, 1, c, 0)
+	g.MustConnect(b, 0, o, 0)
+
+	if e := g.Driver(a, 1); e != nil {
+		t.Fatalf("undriven pin a.1 has driver %v", e)
+	}
+	if e := g.Driver(a, 2); e == nil || e.From != (Port{s, 1}) {
+		t.Fatalf("driver of a.2 = %v", e)
+	}
+	if err := g.Connect(s, 0, a, 2); err == nil {
+		t.Fatal("second driver on a.2 accepted")
+	}
+	if got := g.OutEdges(a, 1); len(got) != 2 || got[0].To != (Port{b, 1}) || got[1].To != (Port{c, 0}) {
+		t.Fatalf("OutEdges(a, 1) = %v, want insertion order b.1, c.0", got)
+	}
+	if got := g.OutEdges(o, 0); got == nil || len(got) != 0 {
+		t.Fatalf("OutEdges of an output block = %#v, want empty", got)
+	}
+	if got := g.InEdgesView(a); len(got) != 2 || got[0].To.Pin != 0 || got[1].To.Pin != 2 {
+		t.Fatalf("InEdgesView(a) = %v, want pin order", got)
+	}
+	if got := g.PredecessorsView(b); len(got) != 1 || got[0] != a {
+		t.Fatalf("PredecessorsView(b) = %v", got)
+	}
+
+	cl := g.Clone()
+	g.MustConnect(s, 0, c, 1)
+	cl.MustConnect(a, 0, c, 1)
+	if g.Driver(c, 1).From != (Port{s, 0}) || cl.Driver(c, 1).From != (Port{a, 0}) {
+		t.Fatalf("clone shares edges: original %v, clone %v", g.Driver(c, 1), cl.Driver(c, 1))
+	}
+	if len(g.InEdgesView(b)) != 2 || len(g.InEdgesView(o)) != 1 || g.Indegree(c) != 2 {
+		t.Fatal("connecting one node disturbed its neighbors' in-edge lists")
+	}
+}

@@ -51,21 +51,34 @@ func (g *Graph) TopoSort() ([]NodeID, error) {
 // input reachable to it. Primary inputs have level 0. Nodes unreachable
 // from any primary input (legal while a design is under construction)
 // also get level 0, matching the code generator's treatment of
-// constant-driven subtrees.
-func (g *Graph) Levels() (map[NodeID]int, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
+// constant-driven subtrees. The result is indexed by NodeID.
+func (g *Graph) Levels() ([]int, error) {
+	// Kahn's algorithm over the adjacency index: a node's level is
+	// final once every in-edge has been relaxed, and any topological
+	// order yields the same levels.
+	n := len(g.nodes)
+	lvl := make([]int, n)
+	pending := make([]int, n)
+	order := make([]NodeID, 0, n)
+	for i := range g.nodes {
+		if pending[i] = len(g.nodes[i].inAdj); pending[i] == 0 {
+			order = append(order, NodeID(i))
+		}
 	}
-	lvl := make(map[NodeID]int, len(g.nodes))
-	for _, n := range order {
-		best := 0
-		for _, e := range g.InEdges(n) {
-			if l := lvl[e.From.Node] + 1; l > best {
-				best = l
+	for head := 0; head < len(order); head++ {
+		u := order[head]
+		for _, e := range g.nodes[u].outAdj {
+			v := e.To.Node
+			if l := lvl[u] + 1; l > lvl[v] {
+				lvl[v] = l
+			}
+			if pending[v]--; pending[v] == 0 {
+				order = append(order, v)
 			}
 		}
-		lvl[n] = best
+	}
+	if len(order) != n {
+		return nil, fmt.Errorf("graph: cycle detected (%d of %d nodes ordered)", len(order), n)
 	}
 	return lvl, nil
 }

@@ -3,6 +3,7 @@ package netlist
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/behavior"
 	"repro/internal/block"
@@ -16,6 +17,10 @@ type Design struct {
 	reg   *block.Registry
 	g     *graph.Graph
 	insts []instance // indexed by graph.NodeID
+	// sharedGraph marks g as shared with a design Derive made from or
+	// for this one: the first block or wire added to either design
+	// copies the graph first.
+	sharedGraph atomic.Bool
 }
 
 // instance is per-node data beyond the graph structure.
@@ -40,6 +45,35 @@ func (d *Design) Registry() *block.Registry { return d.reg }
 // use AddBlock/Connect to mutate the design.
 func (d *Design) Graph() *graph.Graph { return d.g }
 
+// Derive returns a copy of d with the same name, catalog, blocks,
+// parameters, programs and wires, for patching parameters and
+// programs. The copy shares d's graph until either design adds a block
+// or a wire, so deriving costs O(blocks) and rebuilds nothing.
+func (d *Design) Derive() *Design {
+	d.sharedGraph.Store(true)
+	nd := &Design{Name: d.Name, reg: d.reg, g: d.g, insts: append([]instance(nil), d.insts...)}
+	nd.sharedGraph.Store(true)
+	return nd
+}
+
+// ownGraph gives d its own copy of a graph it shares.
+func (d *Design) ownGraph() {
+	if d.sharedGraph.Load() {
+		d.g = d.g.Clone()
+		d.sharedGraph.Store(false)
+	}
+}
+
+// Grow reserves room for n more blocks, so building a design of known
+// size does not reallocate as it goes.
+func (d *Design) Grow(n int) {
+	d.ownGraph()
+	d.g.Grow(n)
+	if free := cap(d.insts) - len(d.insts); free < n {
+		d.insts = append(make([]instance, 0, len(d.insts)+n), d.insts...)
+	}
+}
+
 // AddBlock adds an instance of the named catalog type.
 func (d *Design) AddBlock(name, typeName string) (graph.NodeID, error) {
 	return d.AddBlockWithParams(name, typeName, nil)
@@ -52,11 +86,10 @@ func (d *Design) AddBlockWithParams(name, typeName string, params map[string]int
 	if t == nil {
 		return graph.InvalidNode, fmt.Errorf("netlist: unknown block type %q", typeName)
 	}
-	for p := range params {
-		if _, ok := t.ParamDefault(p); !ok {
-			return graph.InvalidNode, fmt.Errorf("netlist: block type %q has no parameter %q", typeName, p)
-		}
+	if err := checkParams(t, params); err != nil {
+		return graph.InvalidNode, err
 	}
+	d.ownGraph()
 	role := graph.RoleInner
 	switch t.Kind {
 	case block.Sensor:
@@ -74,15 +107,38 @@ func (d *Design) AddBlockWithParams(name, typeName string, params map[string]int
 		// programmable block.
 		d.g.SetPinned(id, true)
 	}
-	var pcopy map[string]int64
-	if len(params) > 0 {
-		pcopy = make(map[string]int64, len(params))
-		for k, v := range params {
-			pcopy[k] = v
+	d.insts = append(d.insts, instance{typ: t, params: copyParams(params)})
+	return id, nil
+}
+
+// SetParams replaces the instance's parameter overrides. Unknown
+// parameter names are rejected, as by AddBlockWithParams.
+func (d *Design) SetParams(id graph.NodeID, params map[string]int64) error {
+	if err := checkParams(d.insts[id].typ, params); err != nil {
+		return err
+	}
+	d.insts[id].params = copyParams(params)
+	return nil
+}
+
+func checkParams(t *block.Type, params map[string]int64) error {
+	for p := range params {
+		if _, ok := t.ParamDefault(p); !ok {
+			return fmt.Errorf("netlist: block type %q has no parameter %q", t.Name, p)
 		}
 	}
-	d.insts = append(d.insts, instance{typ: t, params: pcopy})
-	return id, nil
+	return nil
+}
+
+func copyParams(params map[string]int64) map[string]int64 {
+	if len(params) == 0 {
+		return nil
+	}
+	out := make(map[string]int64, len(params))
+	for k, v := range params {
+		out[k] = v
+	}
+	return out
 }
 
 // MustAddBlock is AddBlock that panics on error.
@@ -122,7 +178,15 @@ func (d *Design) Connect(fromBlock, fromPort, toBlock, toPort string) error {
 	if tp < 0 {
 		return fmt.Errorf("netlist: block %q (%s) has no input port %q", toBlock, d.insts[to].typ.Name, toPort)
 	}
+	d.ownGraph()
 	return d.g.Connect(from, fp, to, tp)
+}
+
+// ConnectPins wires output pin fromPin of block from to input pin
+// toPin of block to: Connect by ID and pin number.
+func (d *Design) ConnectPins(from graph.NodeID, fromPin int, to graph.NodeID, toPin int) error {
+	d.ownGraph()
+	return d.g.Connect(from, fromPin, to, toPin)
 }
 
 // MustConnect is Connect that panics on error.
@@ -199,23 +263,35 @@ func (d *Design) Outputs() []graph.NodeID { return d.g.PrimaryOutputs() }
 // design has at least one sensor and one output block. (The graph layer
 // already guarantees acyclicity and single drivers.)
 func (d *Design) Validate() error {
-	if len(d.Sensors()) == 0 {
+	sensors, outputs := 0, 0
+	for i := range d.insts {
+		switch d.g.Role(graph.NodeID(i)) {
+		case graph.RolePrimaryInput:
+			sensors++
+		case graph.RolePrimaryOutput:
+			outputs++
+		}
+	}
+	if sensors == 0 {
 		return fmt.Errorf("netlist: design %q has no sensor blocks", d.Name)
 	}
-	if len(d.Outputs()) == 0 {
+	if outputs == 0 {
 		return fmt.Errorf("netlist: design %q has no output blocks", d.Name)
 	}
-	for _, id := range d.g.NodeIDs() {
-		if d.insts[id].typ.Kind == block.Programmable {
-			// Programmable blocks may leave physical pins unconnected
-			// (a partition rarely uses the full port budget); unused
-			// pins read as constant 0.
+	for i := range d.insts {
+		id := graph.NodeID(i)
+		// Each input pin has at most one driver, so a block is fully
+		// driven iff it has as many in-edges as input pins.
+		// Programmable blocks may leave physical pins unconnected (a
+		// partition rarely uses the full port budget); unused pins
+		// read as constant 0.
+		if d.insts[i].typ.Kind == block.Programmable || d.g.Indegree(id) == d.g.NumIn(id) {
 			continue
 		}
 		for pin := 0; pin < d.g.NumIn(id); pin++ {
 			if d.g.Driver(id, pin) == nil {
 				return fmt.Errorf("netlist: input port %q of block %q is undriven",
-					d.insts[id].typ.Inputs[pin], d.g.Name(id))
+					d.insts[i].typ.Inputs[pin], d.g.Name(id))
 			}
 		}
 	}

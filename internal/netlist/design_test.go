@@ -259,3 +259,39 @@ func TestDOTExport(t *testing.T) {
 		t.Fatalf("dot output:\n%s", dot)
 	}
 }
+
+// TestDeriveCopyOnWrite checks that a derived design shares its base's
+// graph only until either side adds a block or a wire, and that
+// parameter and program patches stay on the side that made them.
+func TestDeriveCopyOnWrite(t *testing.T) {
+	base := garage(t)
+	baseFP := Fingerprint(base)
+	d := base.Derive()
+	if d.Graph() != base.Graph() || Fingerprint(d) != baseFP {
+		t.Fatal("derived design differs from its base")
+	}
+	both := d.Graph().Lookup("both")
+	if err := d.SetParams(both, map[string]int64{"NOPE": 1}); err == nil {
+		t.Fatal("unknown parameter accepted")
+	}
+	dark := d.Graph().Lookup("dark")
+	if err := d.SetProgram(dark, d.Program(dark).Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if base.HasProgramOverride(dark) || !d.HasProgramOverride(dark) {
+		t.Fatal("program override leaked across Derive")
+	}
+
+	d.MustAddBlock("extra", "Button")
+	d.MustAddBlock("lamp", "LED")
+	d.MustConnect("extra", "y", "lamp", "a")
+	if base.Graph().Lookup("extra") != graph.InvalidNode || Fingerprint(base) != baseFP {
+		t.Fatal("adding to a derived design changed its base")
+	}
+
+	d2 := base.Derive()
+	base.MustAddBlock("late", "Button")
+	if d2.Graph().Lookup("late") != graph.InvalidNode || d2.Graph().NumNodes() != 5 {
+		t.Fatal("adding to a base changed a design derived from it")
+	}
+}

@@ -78,6 +78,7 @@ func UnmarshalJSON(data []byte, reg *block.Registry) (*Design, error) {
 		return nil, err
 	}
 	d := NewDesign(jd.Name, reg)
+	d.Grow(len(jd.Blocks))
 	for _, jb := range jd.Blocks {
 		if err := checkName("block", jb.Name); err != nil {
 			return nil, err

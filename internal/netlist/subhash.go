@@ -1,11 +1,14 @@
 package netlist
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -117,7 +120,7 @@ func StructuralFingerprint(d *Design) string {
 // concurrent use.
 type SubHasher struct {
 	d      *Design
-	levels map[graph.NodeID]int
+	levels []int
 }
 
 // NewSubHasher prepares a fingerprinter for subgraphs of d. It fails
@@ -138,12 +141,12 @@ func NewSubHasher(d *Design) (*SubHasher, error) {
 // an unrelated edit rebuilds the design and renumbers its nodes.
 func (h *SubHasher) MergeOrder(part graph.NodeSet) []graph.NodeID {
 	g := h.d.Graph()
-	members := part.Sorted()
-	sort.SliceStable(members, func(i, j int) bool {
-		if h.levels[members[i]] != h.levels[members[j]] {
-			return h.levels[members[i]] < h.levels[members[j]]
+	members := part.AppendSorted(make([]graph.NodeID, 0, part.Len()))
+	slices.SortFunc(members, func(a, b graph.NodeID) int {
+		if la, lb := h.levels[a], h.levels[b]; la != lb {
+			return cmp.Compare(la, lb)
 		}
-		return g.Name(members[i]) < g.Name(members[j])
+		return strings.Compare(g.Name(a), g.Name(b))
 	})
 	return members
 }
@@ -153,17 +156,19 @@ func (h *SubHasher) MergeOrder(part graph.NodeSet) []graph.NodeID {
 // (members by MergeOrder, input pins in pin order). The k-th port
 // drives merged input pin k.
 func (h *SubHasher) ExternalInputs(part graph.NodeSet) []graph.Port {
+	return h.externalInputs(h.MergeOrder(part), part)
+}
+
+// externalInputs is ExternalInputs over the members in merge order.
+func (h *SubHasher) externalInputs(members []graph.NodeID, part graph.NodeSet) []graph.Port {
 	g := h.d.Graph()
-	seen := map[graph.Port]bool{}
 	var order []graph.Port
-	for _, id := range h.MergeOrder(part) {
-		for pin := 0; pin < g.NumIn(id); pin++ {
-			e := g.Driver(id, pin)
-			if e == nil || part.Has(e.From.Node) || seen[e.From] {
-				continue
+	for _, id := range members {
+		// InEdgesView is ordered by input pin, undriven pins absent.
+		for _, e := range g.InEdgesView(id) {
+			if !part.Has(e.From.Node) && !slices.Contains(order, e.From) {
+				order = append(order, e.From)
 			}
-			seen[e.From] = true
-			order = append(order, e.From)
 		}
 	}
 	return order
@@ -173,16 +178,19 @@ func (h *SubHasher) ExternalInputs(part graph.NodeSet) []graph.Port {
 // outside part, ordered by (merge order, pin). The j-th port is
 // exported on merged output pin j.
 func (h *SubHasher) ExportedOutputs(part graph.NodeSet) []graph.Port {
+	return h.exportedOutputs(h.MergeOrder(part), part)
+}
+
+// exportedOutputs is ExportedOutputs over the members in merge order.
+func (h *SubHasher) exportedOutputs(members []graph.NodeID, part graph.NodeSet) []graph.Port {
 	g := h.d.Graph()
 	var exported []graph.Port
-	for _, id := range h.MergeOrder(part) {
-		for pin := 0; pin < g.NumOut(id); pin++ {
-			p := graph.Port{Node: id, Pin: pin}
-			for _, e := range g.AllOutEdges(id) {
-				if e.From == p && !part.Has(e.To.Node) {
-					exported = append(exported, p)
-					break
-				}
+	for _, id := range members {
+		// OutEdgesView is ordered by output pin: export each pin once,
+		// at its first edge leaving the subgraph.
+		for _, e := range g.OutEdgesView(id) {
+			if !part.Has(e.To.Node) && (len(exported) == 0 || exported[len(exported)-1] != e.From) {
+				exported = append(exported, e.From)
 			}
 		}
 	}
@@ -213,7 +221,7 @@ func (h *SubHasher) Fingerprint(part graph.NodeSet) (string, error) {
 		memberIdx[id] = i
 	}
 	extIdx := map[graph.Port]int{}
-	for k, p := range h.ExternalInputs(part) {
+	for k, p := range h.externalInputs(members, part) {
 		extIdx[p] = k
 	}
 
@@ -259,8 +267,12 @@ func (h *SubHasher) Fingerprint(part graph.NodeSet) (string, error) {
 		buf = strconv.AppendInt(buf, int64(pin), 10)
 	}
 	for i, id := range members {
+		in := g.InEdgesView(id) // ordered by input pin, undriven pins absent
 		for pin := 0; pin < g.NumIn(id); pin++ {
-			e := g.Driver(id, pin)
+			var e *graph.Edge
+			if len(in) > 0 && in[0].To.Pin == pin {
+				e, in = &in[0], in[1:]
+			}
 			buf = append(buf, "i "...)
 			appendPin(i, pin)
 			switch {
@@ -276,7 +288,7 @@ func (h *SubHasher) Fingerprint(part graph.NodeSet) (string, error) {
 			buf = append(buf, '\n')
 		}
 	}
-	for j, p := range h.ExportedOutputs(part) {
+	for j, p := range h.exportedOutputs(members, part) {
 		buf = append(buf, "o "...)
 		buf = strconv.AppendInt(buf, int64(j), 10)
 		buf = append(buf, ' ')

@@ -141,17 +141,18 @@ func New(cfg Config) *Service {
 }
 
 // loadResponse decodes the full response cached for sk and reports the
-// store tier that held it.
+// store tier that held it. A body decodeResponse does not accept is a
+// miss: the pipeline recomputes the response and stores it again.
 func (s *Service) loadResponse(sk synth.StageKey) (*Response, store.Tier, bool) {
 	raw, tier, ok := s.store.Get(storeKey(sk, stageResponse))
 	if !ok {
 		return nil, store.TierNone, false
 	}
-	var r Response
-	if json.Unmarshal(raw, &r) != nil {
+	r, ok := decodeResponse(raw)
+	if !ok {
 		return nil, store.TierNone, false
 	}
-	return &r, tier, true
+	return r, tier, true
 }
 
 // saveResponse caches a computed response for sk. Store write

@@ -125,7 +125,7 @@ type Simulator struct {
 	processed int
 	emitted   int
 	insts     []*instRT
-	levels    map[graph.NodeID]int
+	levels    []int
 }
 
 // instRT is the runtime state of one block instance.

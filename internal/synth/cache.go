@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/core"
@@ -45,7 +46,7 @@ func (k StageKey) String() string {
 // constraintsText renders the canonical Constraints component of a
 // StageKey ("2x2|convex=true").
 func constraintsText(c core.Constraints) string {
-	return fmt.Sprintf("%dx%d|convex=%t", c.MaxInputs, c.MaxOutputs, c.RequireConvex)
+	return strconv.Itoa(c.MaxInputs) + "x" + strconv.Itoa(c.MaxOutputs) + "|convex=" + strconv.FormatBool(c.RequireConvex)
 }
 
 // StageKey derives the capture artifact's content address. The

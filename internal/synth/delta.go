@@ -13,8 +13,10 @@ package synth
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/behavior"
+	"repro/internal/graph"
 	"repro/internal/netlist"
 )
 
@@ -49,8 +51,11 @@ type Edit struct {
 // base blocks in their original order (removed ones skipped), added
 // blocks in edit order, then base wires minus removals, then added
 // wires — so two calls with equal inputs produce identical designs
-// (and therefore identical fingerprints). The base design is not
-// modified. The edited design is validated before being returned.
+// (and therefore identical fingerprints). An edit list that only sets
+// parameters and programs skips the rebuild: the edited design derives
+// from the base and patches the edited blocks (patchInstances). The
+// base design is not modified. The edited design is validated before
+// being returned.
 func ApplyEdits(base *netlist.Design, edits []Edit) (*netlist.Design, error) {
 	g := base.Graph()
 
@@ -134,8 +139,13 @@ func ApplyEdits(base *netlist.Design, edits []Edit) (*netlist.Design, error) {
 		}
 	}
 
+	if !editsChangeStructure(edits) {
+		return patchInstances(base, paramPatch, progPatch)
+	}
+
 	// Build pass.
 	nd := netlist.NewDesign(base.Name, base.Registry())
+	nd.Grow(g.NumNodes() + len(addBlocks))
 	addInstance := func(name, typeName string, baseParams map[string]int64, override *behavior.Program) error {
 		params := map[string]int64{}
 		for k, v := range baseParams {
@@ -229,6 +239,50 @@ func ApplyEdits(base *netlist.Design, edits []Edit) (*netlist.Design, error) {
 		}
 	}
 
+	if err := nd.Validate(); err != nil {
+		return nil, fmt.Errorf("synth: edited design: %w", err)
+	}
+	return nd, nil
+}
+
+// patchInstances is ApplyEdits for edit lists that only set
+// parameters and programs: the structure is the base's, so the edited
+// design derives from the base (sharing its graph) and only the edited
+// instances change. The result equals the rebuilt design, and edits
+// fail with the same errors, checked in block order.
+func patchInstances(base *netlist.Design, paramPatch map[string]map[string]int64, progPatch map[string]*behavior.Program) (*netlist.Design, error) {
+	nd := base.Derive()
+	g := nd.Graph()
+	var ids []graph.NodeID
+	for name := range paramPatch {
+		ids = append(ids, g.Lookup(name))
+	}
+	for name := range progPatch {
+		if _, both := paramPatch[name]; !both {
+			ids = append(ids, g.Lookup(name))
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		name := g.Name(id)
+		if patch, ok := paramPatch[name]; ok {
+			params := make(map[string]int64, len(base.Params(id))+len(patch))
+			for k, v := range base.Params(id) {
+				params[k] = v
+			}
+			for k, v := range patch {
+				params[k] = v
+			}
+			if err := nd.SetParams(id, params); err != nil {
+				return nil, fmt.Errorf("synth: %w", err)
+			}
+		}
+		if p, ok := progPatch[name]; ok {
+			if err := nd.SetProgram(id, p); err != nil {
+				return nil, fmt.Errorf("synth: block %q: %w", name, err)
+			}
+		}
+	}
 	if err := nd.Validate(); err != nil {
 		return nil, fmt.Errorf("synth: edited design: %w", err)
 	}

@@ -261,3 +261,51 @@ func TestApplyEditsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestPatchInstancesMatchesRebuild pins ApplyEdits' parameter/program
+// fast path to the rebuild: for each Table 1 design, the same edits
+// plus a no-op rewire (which forces the rebuild) produce an equal
+// design, and an invalid parameter fails with the same error.
+func TestPatchInstancesMatchesRebuild(t *testing.T) {
+	for _, e := range designs.Library() {
+		base := e.Build()
+		g := base.Graph()
+		scns := editScenarios(base)
+		var rewire []Edit
+		for _, id := range base.InnerBlocks() {
+			if drv := g.Driver(id, 0); drv != nil {
+				to, toPort := g.Name(id), base.Type(id).Inputs[0]
+				rewire = []Edit{
+					{Op: "remove-wire", To: to, ToPort: toPort},
+					{Op: "add-wire", From: g.Name(drv.From.Node), FromPort: base.Type(drv.From.Node).Outputs[drv.From.Pin], To: to, ToPort: toPort},
+				}
+				break
+			}
+		}
+		first := g.Name(base.InnerBlocks()[0])
+		for name, edits := range map[string][]Edit{
+			"param-tweak":      scns["param-tweak"],
+			"program-override": scns["program-override"],
+			"both":             append(append([]Edit(nil), scns["program-override"]...), scns["param-tweak"]...),
+			"bad-param":        {{Op: "set-program", Block: first, Program: scns["program-override"][0].Program}, {Op: "set-param", Block: first, Param: "NO_SUCH_PARAM", Value: 1}},
+		} {
+			if len(edits) == 0 {
+				continue
+			}
+			fast, fastErr := ApplyEdits(base, edits)
+			slow, slowErr := ApplyEdits(base, append(append([]Edit(nil), edits...), rewire...))
+			if (fastErr == nil) != (slowErr == nil) || (fastErr != nil && fastErr.Error() != slowErr.Error()) {
+				t.Fatalf("%s/%s: fast path error %v, rebuild error %v", e.Name, name, fastErr, slowErr)
+			}
+			if fastErr != nil {
+				continue
+			}
+			if netlist.Fingerprint(fast) != netlist.Fingerprint(slow) {
+				t.Errorf("%s/%s: fast path design differs from the rebuild", e.Name, name)
+			}
+			if fast.Graph() != g {
+				t.Errorf("%s/%s: fast path rebuilt the graph", e.Name, name)
+			}
+		}
+	}
+}

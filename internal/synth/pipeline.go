@@ -28,6 +28,7 @@ package synth
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -159,8 +160,11 @@ func (m *Merged) Emit() (*Emitted, error) {
 
 	nd := netlist.NewDesign(d.Name+"_synth", reg)
 
-	// Ownership of each original node: partition index or absent.
-	owner := map[graph.NodeID]int{}
+	// Ownership of each original node: partition index or -1.
+	owner := make([]int, g.NumNodes())
+	for i := range owner {
+		owner[i] = -1
+	}
 	for pi, p := range m.Result.Partitions {
 		pi := pi
 		p.ForEach(func(id graph.NodeID) { owner[id] = pi })
@@ -168,16 +172,21 @@ func (m *Merged) Emit() (*Emitted, error) {
 
 	// Carry over all non-partitioned blocks with their parameters (and
 	// program overrides, e.g. when re-synthesizing an already
-	// synthesized design).
-	for _, id := range g.NodeIDs() {
-		if _, inPart := owner[id]; inPart {
+	// synthesized design). newID maps each carried block to its ID in
+	// the synthesized design.
+	nd.Grow(g.NumNodes() - m.Result.Covered() + len(m.Merges))
+	newID := make([]graph.NodeID, g.NumNodes())
+	for i, pi := range owner {
+		if pi >= 0 {
 			continue
 		}
+		id := graph.NodeID(i)
 		name := g.Name(id)
 		nid, err := nd.AddBlockWithParams(name, d.Type(id).Name, d.Params(id))
 		if err != nil {
 			return nil, fmt.Errorf("synth: carrying block %q: %w", name, err)
 		}
+		newID[i] = nid
 		if d.HasProgramOverride(id) {
 			if err := nd.SetProgram(nid, d.Program(id).Clone()); err != nil {
 				return nil, err
@@ -187,13 +196,15 @@ func (m *Merged) Emit() (*Emitted, error) {
 
 	// Create one programmable block per partition with its merged
 	// program.
-	out := &Emitted{Merged: m, CSource: map[string]string{}}
+	out := &Emitted{Merged: m, CSource: make(map[string]string, len(m.Merges))}
+	partID := make([]graph.NodeID, len(m.Merges))
 	for pi, mg := range m.Merges {
-		name := fmt.Sprintf("p%d", pi)
+		name := "p" + strconv.Itoa(pi)
 		nid, err := nd.AddBlock(name, m.ProgType.Name)
 		if err != nil {
 			return nil, err
 		}
+		partID[pi] = nid
 		if err := nd.SetProgram(nid, mg.Program); err != nil {
 			return nil, err
 		}
@@ -201,46 +212,42 @@ func (m *Merged) Emit() (*Emitted, error) {
 	}
 
 	// mapSource resolves an original output port to its new endpoint.
-	mapSource := func(p graph.Port) (blockName, portName string, err error) {
-		if pi, inPart := owner[p.Node]; inPart {
-			mg := m.Merges[pi]
-			for j, q := range mg.OutputMap {
+	mapSource := func(p graph.Port) (graph.Port, error) {
+		if pi := owner[p.Node]; pi >= 0 {
+			for j, q := range m.Merges[pi].OutputMap {
 				if q == p {
-					return fmt.Sprintf("p%d", pi), fmt.Sprintf("out%d", j), nil
+					return graph.Port{Node: partID[pi], Pin: j}, nil
 				}
 			}
-			return "", "", fmt.Errorf("synth: port %v of partition %d is not exported", p, pi)
+			return graph.Port{}, fmt.Errorf("synth: port %v of partition %d is not exported", p, pi)
 		}
-		return g.Name(p.Node), d.Type(p.Node).Outputs[p.Pin], nil
+		return graph.Port{Node: newID[p.Node], Pin: p.Pin}, nil
 	}
 
-	// Wire carried-over blocks' inputs.
-	for _, id := range g.NodeIDs() {
-		if _, inPart := owner[id]; inPart {
+	// Wire carried-over blocks' inputs, in input pin order.
+	for i, pi := range owner {
+		if pi >= 0 {
 			continue
 		}
-		for pin := 0; pin < g.NumIn(id); pin++ {
-			e := g.Driver(id, pin)
-			if e == nil {
-				continue
-			}
-			srcBlock, srcPort, err := mapSource(e.From)
+		id := graph.NodeID(i)
+		for _, e := range g.InEdgesView(id) {
+			src, err := mapSource(e.From)
 			if err != nil {
 				return nil, err
 			}
-			if err := nd.Connect(srcBlock, srcPort, g.Name(id), d.Type(id).Inputs[pin]); err != nil {
+			if err := nd.ConnectPins(src.Node, src.Pin, newID[i], e.To.Pin); err != nil {
 				return nil, fmt.Errorf("synth: wiring %s: %w", g.Name(id), err)
 			}
 		}
 	}
 	// Wire programmable blocks' inputs per their input maps.
 	for pi, mg := range m.Merges {
-		for k, src := range mg.InputMap {
-			srcBlock, srcPort, err := mapSource(src)
+		for k, p := range mg.InputMap {
+			src, err := mapSource(p)
 			if err != nil {
 				return nil, err
 			}
-			if err := nd.Connect(srcBlock, srcPort, fmt.Sprintf("p%d", pi), fmt.Sprintf("in%d", k)); err != nil {
+			if err := nd.ConnectPins(src.Node, src.Pin, partID[pi], k); err != nil {
 				return nil, fmt.Errorf("synth: wiring p%d: %w", pi, err)
 			}
 		}
@@ -255,12 +262,12 @@ func (m *Merged) Emit() (*Emitted, error) {
 
 // csrcMemo caches generated C per (program identity, block name).
 // Identity keying only pays off when the same *behavior.Program is
-// emitted repeatedly — exactly what the merge-adoption memo
-// (memoizedProgram) arranges for interactive edit sessions, where
-// every unedited partition resolves to the one shared parsed program
-// and lands here on its stable p<i> name. Cold runs allocate fresh
-// programs and simply miss. Reset past csrcMemoMax entries, like
-// progMemo.
+// emitted repeatedly — exactly what the merge-artifact decode memo
+// (artifactMemo, see memoizedDecode) arranges for interactive edit
+// sessions, where every unedited partition resolves to the one shared
+// parsed program and lands here on its stable p<i> name. Cold runs
+// allocate fresh programs and simply miss. Reset past csrcMemoMax
+// entries, like artifactMemo.
 var (
 	csrcMemo    sync.Map // csrcKey -> string
 	csrcMemoLen atomic.Int64
