@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/designs"
@@ -124,6 +125,55 @@ func TestV2ExhaustiveMatchesSeed(t *testing.T) {
 		}
 		assertSameResult(t, g, DefaultConstraints, name, got, want)
 	}
+}
+
+// TestV2ExhaustiveMatchesSeedProperty compares the exhaustive search
+// with the seed reference on small random designs under random budgets:
+// plain, with RequireConvex and with a random InitialBound, a quarter of
+// the trials each (the last quarter plain again), on one and two
+// workers. Both sides return the same partitions and uncovered list, or
+// both report that the seed bound stands.
+func TestV2ExhaustiveMatchesSeedProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	compared, stands := 0, 0
+	for trial := 0; trial < 600; trial++ {
+		var g *graph.Graph
+		if trial%2 == 0 {
+			g = randomTestDAG(rng, 1+rng.Intn(10))
+		} else {
+			g = randgen.MustGenerate(randgen.Params{InnerBlocks: 3 + rng.Intn(8), Seed: rng.Int63()}).Graph()
+		}
+		c := Constraints{MaxInputs: 1 + rng.Intn(3), MaxOutputs: 1 + rng.Intn(3)}
+		var opts ExhaustiveOptions
+		switch (trial / 2) % 4 {
+		case 1:
+			c.RequireConvex = true
+		case 2:
+			opts.InitialBound = 1 + rng.Intn(len(g.PartitionableNodes()))
+		}
+		want, wantErr := seedExhaustive(g, c, opts)
+		if wantErr != nil && !IsSeedStands(wantErr) {
+			t.Fatalf("trial %d: seed: %v", trial, wantErr)
+		}
+		for _, workers := range []int{1, 2} {
+			opts.Workers = workers
+			name := fmt.Sprintf("trial %d (%+v, %+v)", trial, c, opts)
+			got, err := Exhaustive(g, c, opts)
+			if IsSeedStands(err) != IsSeedStands(wantErr) {
+				t.Fatalf("%s: err %v, seed %v", name, err, wantErr)
+			}
+			if IsSeedStands(err) {
+				stands++
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			assertSameResult(t, g, c, name, got, want)
+			compared++
+		}
+	}
+	t.Logf("%d results compared, %d seed bounds stood on both sides", compared, stands)
 }
 
 // TestV2ExhaustiveParallelDeterminism pins the parallel search to the

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -19,9 +20,10 @@ type ExhaustiveOptions struct {
 	// InitialBound seeds branch-and-bound with a known-achievable cost
 	// (e.g. the PareDown result). 0 means no seed.
 	InitialBound int
-	// DisableBound turns branch-and-bound off, leaving only the paper's
-	// empty-block symmetry pruning; used by the ablation benches to
-	// measure the raw search like the 2005 implementation.
+	// DisableBound turns branch-and-bound off, the cost bound and all
+	// four pruning rules of Exhaustive, leaving only the paper's
+	// empty-block symmetry pruning, like the 2005 implementation. Tests
+	// use it to check that pruning keeps the optimal cost.
 	DisableBound bool
 	// Workers bounds the worker pool of the parallel search: the
 	// shallow levels of the search tree are fanned out as independent
@@ -42,16 +44,38 @@ type ExhaustiveOptions struct {
 // blocks (a combination need not use every block)"; the paper's pruning
 // — all empty programmable blocks are indistinguishable — is realized
 // here by restricted-growth enumeration (a block may open at most one
-// new group). A sound branch-and-bound on the partial cost
-// (groups + unassigned, both monotone along a branch) is added on top;
-// I/O feasibility is checked with a *permanent-demand* bound: only
-// connectivity to already-placed or never-placeable nodes counts, since
-// future additions can still internalize other edges (the convergence
-// property that makes naive feasibility pruning unsound). The
-// permanent demand of every open group is maintained incrementally —
-// O(degree) per block placement instead of an O(group + edges) recount
-// per feasibility probe — and large searches fan their shallow subtrees
-// across a worker pool (see ExhaustiveOptions.Workers).
+// new group). The result uses the fewest blocks and, at that cost,
+// covers the most; a tie keeps the incumbent, else the assignment found
+// first in search order.
+//
+// Branch-and-bound on top cuts a branch once no leaf below it can be
+// strictly better than the incumbent, which starts as the PareDown
+// solution or the seeded InitialBound: when the branch already costs
+// more than the best cost found anywhere, or by one of four rules:
+//
+//  1. Coverage: at the incumbent's cost, a branch that would not cover
+//     more blocks even if every undecided block joined a group. A
+//     seeded InitialBound counts as covering everything.
+//  2. Children first: the unassigned and new-group children are tested
+//     before they are placed, and the last block opens no group, since
+//     a one-member group is never a partition.
+//  3. Demand: a placement that pushes any group's permanent I/O demand
+//     over the budget, the joined group's or another group's that rose
+//     because the block is now decided.
+//  4. Stuck block: where one more unit of cost is already hopeless, a
+//     node at which some undecided block fits no open group, counting
+//     only its edges to nodes decided at that node.
+//
+// Each is sound because cost (groups + unassigned), the unassigned
+// count and every group's permanent demand only grow along a branch.
+// Permanent demand counts only connectivity to already-decided or
+// never-placeable nodes, since future additions can still internalize
+// other edges (the convergence property that makes naive feasibility
+// pruning unsound), so it never exceeds the group's demand at a leaf.
+// It is maintained incrementally — O(degree) per block placement
+// instead of an O(group + edges) recount per feasibility probe — and
+// large searches fan their shallow subtrees across a worker pool (see
+// ExhaustiveOptions.Workers).
 func Exhaustive(g *graph.Graph, c Constraints, opts ExhaustiveOptions) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -103,6 +127,7 @@ func Exhaustive(g *graph.Graph, c Constraints, opts ExhaustiveOptions) (*Result,
 	var visited int64
 	if workers > 1 {
 		enum := newExSearcher(g, c, opts, inner, shared)
+		enum.best, enum.bestCovered = initBest, initCovered
 		tasks = enum.enumerateTasks(4 * workers)
 		visited += enum.visited
 	}
@@ -235,8 +260,12 @@ type exSearcher struct {
 	c     Constraints
 	opts  ExhaustiveOptions
 	inner []graph.NodeID
-	pos   []int32 // by NodeID: index in inner, or -1
-	px    portIndex
+	// pos is by NodeID the index at which a node is decided: its index
+	// in inner; -1 for primary inputs and outputs, which are never
+	// placed; MaxInt32 for pinned inner blocks, which permanent never
+	// counts, matching the original snapshot computation.
+	pos []int32
+	px  portIndex
 
 	shared *exShared
 
@@ -252,8 +281,8 @@ type exSearcher struct {
 	bestParts   []graph.NodeSet
 	found       bool
 
-	// Leaf-check scratch: epoch-stamped distinct-port counters for the
-	// full (non-permanent) fit check, allocation-free.
+	// Scratch for fitsFull and joinable: epoch-stamped distinct-port
+	// counters, allocation-free.
 	stampIn  []int64
 	stampOut []int64
 	epoch    int64
@@ -274,13 +303,52 @@ func newExSearcher(g *graph.Graph, c Constraints, opts ExhaustiveOptions, inner 
 		stampOut: make([]int64, px.n),
 	}
 	for i := range s.pos {
-		s.pos[i] = -1
+		s.pos[i] = math.MaxInt32
+		if g.Role(graph.NodeID(i)) != graph.RoleInner {
+			s.pos[i] = -1
+		}
 		s.groupOf[i] = -1
 	}
 	for i, id := range inner {
 		s.pos[id] = int32(i)
 	}
 	return s
+}
+
+// addIn counts one more permanent edge from external port p into the
+// group and reports whether its input demand still fits max.
+func (grp *exGroup) addIn(p int32, max int) bool {
+	grp.extIn[p]++
+	if grp.extIn[p] == 1 {
+		grp.inputs++
+	}
+	return grp.inputs <= max
+}
+
+// addOut counts one more permanent edge from member port p to a
+// non-member and reports whether its output demand still fits max.
+func (grp *exGroup) addOut(p int32, max int) bool {
+	grp.outLv[p]++
+	if grp.outLv[p] == 1 {
+		grp.outputs++
+	}
+	return grp.outputs <= max
+}
+
+// subIn reverses addIn.
+func (grp *exGroup) subIn(p int32) {
+	grp.extIn[p]--
+	if grp.extIn[p] == 0 {
+		grp.inputs--
+	}
+}
+
+// subOut reverses addOut.
+func (grp *exGroup) subOut(p int32) {
+	grp.outLv[p]--
+	if grp.outLv[p] == 0 {
+		grp.outputs--
+	}
 }
 
 // place decides block x: it joins group gi, or stays unassigned when
@@ -293,61 +361,43 @@ func newExSearcher(g *graph.Graph, c Constraints, opts ExhaustiveOptions, inner 
 //     never-placeable non-members become that group's permanent
 //     demand. (Edges to undecided blocks are added later, by the
 //     placement that decides the other endpoint.)
-func (s *exSearcher) place(x graph.NodeID, gi int) {
+//
+// It reports whether every group whose demand rose still fits the
+// budget. Demand only grows along a branch and never exceeds the
+// group's full demand at a leaf, so a group over the budget makes
+// every leaf below invalid.
+func (s *exSearcher) place(x graph.NodeID, gi int) bool {
 	i := s.pos[x]
+	maxIn, maxOut := s.c.MaxInputs, s.c.MaxOutputs
+	fits := true
 	for _, e := range s.g.InEdgesView(x) {
 		if og := s.groupOf[e.From.Node]; og >= 0 && int(og) != gi {
-			grp := s.groups[og]
-			p := s.px.id(e.From)
-			grp.outLv[p]++
-			if grp.outLv[p] == 1 {
-				grp.outputs++
-			}
+			fits = s.groups[og].addOut(s.px.id(e.From), maxOut) && fits
 		}
 	}
 	for _, e := range s.g.OutEdgesView(x) {
 		if og := s.groupOf[e.To.Node]; og >= 0 && int(og) != gi {
-			grp := s.groups[og]
-			p := s.px.id(e.From)
-			grp.extIn[p]++
-			if grp.extIn[p] == 1 {
-				grp.inputs++
-			}
+			fits = s.groups[og].addIn(s.px.id(e.From), maxIn) && fits
 		}
 	}
 	if gi < 0 {
-		return
+		return fits
 	}
 	grp := s.groups[gi]
 	for _, e := range s.g.InEdgesView(x) {
-		u := e.From.Node
-		if int(s.groupOf[u]) == gi {
-			continue // internal edge
-		}
-		if s.permanent(u, i) {
-			p := s.px.id(e.From)
-			grp.extIn[p]++
-			if grp.extIn[p] == 1 {
-				grp.inputs++
-			}
+		if u := e.From.Node; int(s.groupOf[u]) != gi && s.permanent(u, i) {
+			fits = grp.addIn(s.px.id(e.From), maxIn) && fits
 		}
 	}
 	for _, e := range s.g.OutEdgesView(x) {
-		v := e.To.Node
-		if int(s.groupOf[v]) == gi {
-			continue
-		}
-		if s.permanent(v, i) {
-			p := s.px.id(e.From)
-			grp.outLv[p]++
-			if grp.outLv[p] == 1 {
-				grp.outputs++
-			}
+		if v := e.To.Node; int(s.groupOf[v]) != gi && s.permanent(v, i) {
+			fits = grp.addOut(s.px.id(e.From), maxOut) && fits
 		}
 	}
 	grp.members.Add(x)
 	grp.size++
 	s.groupOf[x] = int32(gi)
+	return fits
 }
 
 // unplace reverses place.
@@ -359,73 +409,92 @@ func (s *exSearcher) unplace(x graph.NodeID, gi int) {
 		grp.members.Remove(x)
 		grp.size--
 		for _, e := range s.g.InEdgesView(x) {
-			u := e.From.Node
-			if int(s.groupOf[u]) == gi {
-				continue
-			}
-			if s.permanent(u, i) {
-				p := s.px.id(e.From)
-				grp.extIn[p]--
-				if grp.extIn[p] == 0 {
-					grp.inputs--
-				}
+			if u := e.From.Node; int(s.groupOf[u]) != gi && s.permanent(u, i) {
+				grp.subIn(s.px.id(e.From))
 			}
 		}
 		for _, e := range s.g.OutEdgesView(x) {
-			v := e.To.Node
-			if int(s.groupOf[v]) == gi {
-				continue
-			}
-			if s.permanent(v, i) {
-				p := s.px.id(e.From)
-				grp.outLv[p]--
-				if grp.outLv[p] == 0 {
-					grp.outputs--
-				}
+			if v := e.To.Node; int(s.groupOf[v]) != gi && s.permanent(v, i) {
+				grp.subOut(s.px.id(e.From))
 			}
 		}
 	}
 	for _, e := range s.g.InEdgesView(x) {
 		if og := s.groupOf[e.From.Node]; og >= 0 && int(og) != gi {
-			grp := s.groups[og]
-			p := s.px.id(e.From)
-			grp.outLv[p]--
-			if grp.outLv[p] == 0 {
-				grp.outputs--
-			}
+			s.groups[og].subOut(s.px.id(e.From))
 		}
 	}
 	for _, e := range s.g.OutEdgesView(x) {
 		if og := s.groupOf[e.To.Node]; og >= 0 && int(og) != gi {
-			grp := s.groups[og]
-			p := s.px.id(e.From)
-			grp.extIn[p]--
-			if grp.extIn[p] == 0 {
-				grp.inputs--
-			}
+			s.groups[og].subIn(s.px.id(e.From))
 		}
 	}
 }
 
 // permanent reports whether node y can never join the group of the
 // block at index i: primary inputs and outputs can never be placed,
-// and inner blocks at earlier indexes are already decided. Pinned
-// inner blocks (pos < 0) are never counted, matching the original
-// snapshot computation.
+// and inner blocks at earlier indexes are already decided.
 func (s *exSearcher) permanent(y graph.NodeID, i int32) bool {
-	if s.g.Role(y) != graph.RoleInner {
-		return true
-	}
-	p := s.pos[y]
-	return p >= 0 && p < i
+	return s.pos[y] < i
 }
 
-// feasible reports whether group gi's permanent demand still fits the
-// budget. If even this floor exceeds the budget, no completion can fix
-// the group.
-func (s *exSearcher) feasible(gi int) bool {
-	grp := s.groups[gi]
-	return grp.inputs <= s.c.MaxInputs && grp.outputs <= s.c.MaxOutputs
+// hopeless reports whether no leaf of at least the given cost that
+// covers at most covered blocks can beat the incumbent: its cost
+// exceeds the shared bound, or it ties the task's incumbent cost
+// without covering more blocks. The shared bound carries cost alone,
+// so the coverage test reads the task's own incumbent.
+func (s *exSearcher) hopeless(cost, covered int) bool {
+	if s.opts.DisableBound {
+		return false
+	}
+	return int64(cost) > s.shared.bound.Load() || (cost == s.best && covered <= s.bestCovered)
+}
+
+// stuck reports whether some undecided block fits no open group even
+// counting only its edges to nodes decided now. Those edges are
+// permanent demand of any group the block joins later; edges to blocks
+// decided in between are not, since those may join the same group.
+// A stuck block must stay unassigned or open a group, at one more unit
+// of cost.
+func (s *exSearcher) stuck(i int) bool {
+	for _, y := range s.inner[i:] {
+		if !s.joinable(y, int32(i)) {
+			return true
+		}
+	}
+	return false
+}
+
+// joinable reports whether block y could join some open group within
+// the budget, counting y's edges to nodes permanent at index i. The
+// epoch-stamped scratch counts each new port once.
+func (s *exSearcher) joinable(y graph.NodeID, i int32) bool {
+	for gi, grp := range s.groups {
+		s.epoch++
+		ep := s.epoch
+		ins, outs := grp.inputs, grp.outputs
+		for _, e := range s.g.InEdgesView(y) {
+			if u := e.From.Node; int(s.groupOf[u]) != gi && s.permanent(u, i) {
+				if p := s.px.id(e.From); grp.extIn[p] == 0 && s.stampIn[p] != ep {
+					s.stampIn[p] = ep
+					ins++
+				}
+			}
+		}
+		for _, e := range s.g.OutEdgesView(y) {
+			// y's own ports are not yet counted by any group.
+			if v := e.To.Node; int(s.groupOf[v]) != gi && s.permanent(v, i) {
+				if p := s.px.id(e.From); s.stampOut[p] != ep {
+					s.stampOut[p] = ep
+					outs++
+				}
+			}
+		}
+		if ins <= s.c.MaxInputs && outs <= s.c.MaxOutputs {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *exSearcher) openGroup() int {
@@ -463,46 +532,59 @@ func (s *exSearcher) search(i int) error {
 		default:
 		}
 	}
-	cost := s.unassigned + len(s.groups)
-	if !s.opts.DisableBound && int64(cost) > s.shared.bound.Load() {
-		// Cannot beat the incumbent: cost only grows along a branch.
-		// Equal-cost branches stay alive for the coverage tie-break
-		// (the paper's optimum "covers the most blocks with the fewest
-		// partitions").
-		return nil
-	}
 	if i == len(s.inner) {
-		s.leaf(cost)
+		s.leaf()
 		return nil
 	}
+	return s.children(i, func(int8) error { return s.search(i + 1) })
+}
+
+// children decides block inner[i] as each child the pruning admits, in
+// the search's order: unassigned, joined to each open group, then in
+// one new group (symmetry pruning: empty groups are indistinguishable,
+// so a single representative suffices). For each it calls visit with
+// the decision and then undoes the placement; an error from visit
+// returns at once, as in search. A child is tested before it is
+// visited: the cost and coverage bounds first, then place's report.
+// The last block opens no group, which would keep one member. When one
+// more unit of cost is already hopeless, a stuck block cuts the node.
+func (s *exSearcher) children(i int, visit func(d int8) error) error {
 	x := s.inner[i]
-
-	// Choice 1: leave the block unassigned (pre-defined block remains).
-	s.place(x, -1)
-	s.unassigned++
-	if err := s.search(i + 1); err != nil {
-		return err
+	cost, reach := s.unassigned+len(s.groups), len(s.inner)-s.unassigned
+	bounded := !s.opts.DisableBound
+	if s.hopeless(cost+1, reach) && s.stuck(i) {
+		return nil
 	}
-	s.unassigned--
-	s.unplace(x, -1)
-
-	// Choice 2: join an existing group.
+	if !s.hopeless(cost+1, reach-1) {
+		fits := s.place(x, -1)
+		s.unassigned++
+		if fits || !bounded {
+			if err := visit(decUnassigned); err != nil {
+				return err
+			}
+		}
+		s.unassigned--
+		s.unplace(x, -1)
+	}
 	for gi := range s.groups {
-		s.place(x, gi)
-		if s.opts.DisableBound || s.feasible(gi) {
-			if err := s.search(i + 1); err != nil {
+		if s.hopeless(cost, reach) {
+			break // an earlier child's leaf improved the incumbent
+		}
+		if s.place(x, gi) || !bounded {
+			if err := visit(int8(gi)); err != nil {
 				return err
 			}
 		}
 		s.unplace(x, gi)
 	}
-
-	// Choice 3: open one new group (symmetry pruning: empty groups are
-	// indistinguishable, so a single representative branch suffices).
+	if (bounded && i == len(s.inner)-1) || s.hopeless(cost+1, reach) {
+		return nil
+	}
 	gi := s.openGroup()
-	s.place(x, gi)
-	if err := s.search(i + 1); err != nil {
-		return err
+	if s.place(x, gi) || !bounded {
+		if err := visit(decNewGroup); err != nil {
+			return err
+		}
 	}
 	s.unplace(x, gi)
 	s.closeGroup()
@@ -510,11 +592,8 @@ func (s *exSearcher) search(i int) error {
 }
 
 // leaf evaluates a complete assignment against the task incumbent.
-func (s *exSearcher) leaf(cost int) {
-	covered := 0
-	for _, grp := range s.groups {
-		covered += grp.size
-	}
+func (s *exSearcher) leaf() {
+	cost, covered := s.unassigned+len(s.groups), len(s.inner)-s.unassigned
 	if !(cost < s.best || (cost == s.best && covered > s.bestCovered)) {
 		return
 	}
@@ -626,34 +705,21 @@ func (s *exSearcher) unreplay(prefix []int8) {
 
 // enumerateTasks expands the shallow levels of the search tree
 // breadth-first until at least want subtree tasks exist (or the tree
-// is exhausted), applying the same feasibility and bound pruning the
-// depth-first search would.
+// is exhausted). Each frontier node's children pass the same filter
+// the depth-first search applies (children), against the initial
+// incumbent every task starts from.
 func (s *exSearcher) enumerateTasks(want int) [][]int8 {
 	frontier := [][]int8{nil}
-	bound := int(s.shared.bound.Load())
 	for depth := 0; depth < len(s.inner) && len(frontier) < want; depth++ {
 		var next [][]int8
 		for _, pre := range frontier {
 			s.replay(pre)
 			s.visited++
-			cost := s.unassigned + len(s.groups)
-			if !s.opts.DisableBound && cost > bound {
-				s.unreplay(pre)
-				continue
-			}
-			x := s.inner[depth]
-			child := func(d int8) []int8 {
-				return append(pre[:len(pre):len(pre)], d)
-			}
-			next = append(next, child(decUnassigned))
-			for gi := range s.groups {
-				s.place(x, gi)
-				if s.opts.DisableBound || s.feasible(gi) {
-					next = append(next, child(int8(gi)))
-				}
-				s.unplace(x, gi)
-			}
-			next = append(next, child(decNewGroup))
+			// The collecting visit never fails, so neither does children.
+			_ = s.children(depth, func(d int8) error {
+				next = append(next, append(pre[:len(pre):len(pre)], d))
+				return nil
+			})
 			s.unreplay(pre)
 		}
 		frontier = next

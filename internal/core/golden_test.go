@@ -107,3 +107,75 @@ func TestPareDownPopulationGolden(t *testing.T) {
 		t.Fatalf("population digest %s, want %s (fit checks %d)", got, populationGoldenDigest, fitChecks)
 	}
 }
+
+// exhaustiveGoldenDigest pins the exhaustive search's exact output over
+// the golden designs it can finish (see exhaustiveGoldenDesigns): every
+// partition and the uncovered list of every run. Pruning may change
+// NodesVisited, never the result.
+const exhaustiveGoldenDigest = "1f08805d96598b380d096e596fefd62bdacb33faa0a8d09cb8bd074a6c59d909"
+
+// exhaustiveGoldenDesigns returns the golden designs with at most 13
+// partitionable blocks, the paper's practical limit for the optimal
+// search and the benchmark's.
+func exhaustiveGoldenDesigns(t *testing.T) []goldenDesign {
+	t.Helper()
+	var out []goldenDesign
+	for _, d := range goldenPopulation() {
+		if len(d.g.PartitionableNodes()) <= 13 {
+			out = append(out, d)
+		}
+	}
+	if len(out) != 232 {
+		t.Fatalf("%d golden designs with at most 13 partitionable blocks, want 232", len(out))
+	}
+	return out
+}
+
+// TestExhaustivePopulationGolden runs the exhaustive search under the
+// 2x2 budget, a 3x2 budget and the 2x2 budget with RequireConvex, each
+// sequentially, plus the 2x2 budget on two workers, and compares one
+// digest of every result against the pinned value.
+func TestExhaustivePopulationGolden(t *testing.T) {
+	runs := []struct {
+		name string
+		c    Constraints
+		opts ExhaustiveOptions
+	}{
+		{"2x2", DefaultConstraints, ExhaustiveOptions{Workers: 1}},
+		{"3x2", Constraints{MaxInputs: 3, MaxOutputs: 2}, ExhaustiveOptions{Workers: 1}},
+		{"2x2-convex", Constraints{MaxInputs: 2, MaxOutputs: 2, RequireConvex: true}, ExhaustiveOptions{Workers: 1}},
+		{"2x2-workers-2", DefaultConstraints, ExhaustiveOptions{Workers: 2}},
+	}
+	h := sha256.New()
+	for _, d := range exhaustiveGoldenDesigns(t) {
+		for _, r := range runs {
+			res, err := Exhaustive(d.g, r.c, r.opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", d.name, r.name, err)
+			}
+			hashResult(h, res)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != exhaustiveGoldenDigest {
+		t.Fatalf("exhaustive population digest %s, want %s", got, exhaustiveGoldenDigest)
+	}
+}
+
+// TestExhaustivePopulationNodes bounds the search tree the pruning
+// leaves on the golden designs: at one worker the node count is exact,
+// identical from run to run.
+func TestExhaustivePopulationNodes(t *testing.T) {
+	const maxNodes = 500_000
+	var nodes int64
+	for _, d := range exhaustiveGoldenDesigns(t) {
+		res, err := Exhaustive(d.g, DefaultConstraints, ExhaustiveOptions{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		nodes += res.NodesVisited
+	}
+	t.Logf("%d nodes visited", nodes)
+	if nodes > maxNodes {
+		t.Fatalf("%d nodes visited, want at most %d", nodes, maxNodes)
+	}
+}

@@ -55,8 +55,9 @@ func BenchmarkPareDownLargescale(b *testing.B) {
 }
 
 // BenchmarkExhaustive12 measures the optimal search on a 12-inner
-// random design: v2 (incremental permanent-demand groups, pooled
-// storage) vs the seed (map-based feasibility probe per node).
+// random design: v2 (incremental permanent-demand groups, the pruning
+// rules of Exhaustive, pooled storage) vs the seed (map-based
+// feasibility probe per node).
 func BenchmarkExhaustive12(b *testing.B) {
 	g := exhaustive12Graph(b)
 	b.Run("v2", func(b *testing.B) {
