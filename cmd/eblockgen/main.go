@@ -15,9 +15,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"repro/internal/block"
+	"repro/internal/cli"
 	"repro/internal/netlist"
 	"repro/internal/randgen"
 )
@@ -39,22 +38,13 @@ func main() {
 		fatal(fmt.Errorf("unknown -format %q (want ebk or json)", *format))
 	}
 
-	var d *netlist.Design
+	var (
+		d   *netlist.Design
+		err error
+	)
 	if *convert != "" {
-		raw, err := os.ReadFile(*convert)
-		if err != nil {
-			fatal(err)
-		}
-		if strings.HasSuffix(*convert, ".json") {
-			d, err = netlist.UnmarshalJSON(raw, block.Standard())
-		} else {
-			d, err = netlist.Parse(string(raw), block.Standard())
-		}
-		if err != nil {
-			fatal(err)
-		}
+		d, err = cli.LoadDesign(*convert, "")
 	} else {
-		var err error
 		d, err = randgen.Generate(randgen.Params{
 			InnerBlocks:    *inner,
 			Seed:           *seed,
@@ -62,9 +52,9 @@ func main() {
 			ThreeInputProb: *threeProb,
 			SequentialProb: *seqProb,
 		})
-		if err != nil {
-			fatal(err)
-		}
+	}
+	if err != nil {
+		fatal(err)
 	}
 
 	if *stats {

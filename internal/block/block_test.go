@@ -185,3 +185,32 @@ func TestKindPredicates(t *testing.T) {
 		t.Error("kind strings wrong")
 	}
 }
+
+// TestStandardSharesOneCatalog pins the catalog contract: every
+// Standard() registry holds the same types and programs, built once
+// per process, yet each registry is its own — registering into one
+// leaves the others unchanged — and a fresh registry costs a handful
+// of allocations, not a re-parse of the catalog's programs.
+func TestStandardSharesOneCatalog(t *testing.T) {
+	a, b := Standard(), Standard()
+	for _, name := range a.Names() {
+		ta, tb := a.Lookup(name), b.Lookup(name)
+		if ta != tb || ta.Program != tb.Program {
+			t.Errorf("%s: two Standard() registries hold different types or programs", name)
+		}
+	}
+	n := b.Len()
+	a.MustRegister(&Type{Name: "Extra", Kind: Sensor, Outputs: []string{"y"}})
+	if err := a.Ensure(ProgrammableType(3, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if b.Len() != n || b.Lookup("Extra") != nil || b.Lookup("Prog3x2") != nil {
+		t.Error("registering into one Standard() registry changed another")
+	}
+	if c := Standard(); c.Len() != n {
+		t.Errorf("a later Standard() has %d types, want %d", c.Len(), n)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Standard() }); allocs >= 20 {
+		t.Errorf("Standard() makes %.0f allocations, want fewer than 20", allocs)
+	}
+}

@@ -2,15 +2,26 @@ package block
 
 import (
 	"fmt"
+	"maps"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/behavior"
+	"repro/internal/memo"
 )
 
 // Standard returns a registry populated with the full eBlock catalog
-// described in Section 2 of the paper. Each call builds a fresh
-// registry, so callers may extend it without affecting others.
+// described in Section 2 of the paper. Each call returns a fresh
+// registry, so callers may extend it without affecting others. The
+// catalog's types and their behavior programs are built once per
+// process and shared by every registry: types are immutable after
+// registration.
 func Standard() *Registry {
+	return &Registry{types: maps.Clone(standardTypes())}
+}
+
+var standardTypes = sync.OnceValue(func() map[string]*Type {
 	r := NewRegistry()
 
 	// --- Sensor blocks (primary inputs) -------------------------------
@@ -161,15 +172,23 @@ func Standard() *Registry {
 		})
 	}
 
-	return r
-}
+	return r.types
+})
+
+// MaxProgPorts caps each side of a programmable block's port budget,
+// 9x the largest the repo uses (7), so a client-chosen budget stays
+// cheap: a ProgNxM name past it is no type, and constraints past it
+// are rejected.
+const MaxProgPorts = 64
 
 // progTypeMemo caches ProgrammableType results by port budget. Types
 // are immutable and registries share them by pointer, so every caller
 // asking for the same budget can receive the same *Type; building one
 // parses a behavior program, which showed up on the cached-synthesis
 // hot path (one call per merge).
-var progTypeMemo sync.Map // [2]int -> *Type
+var progTypeMemo = memo.New[[2]int, *Type](progTypeMemoEntries, nil)
+
+const progTypeMemoEntries = 256
 
 // ProgrammableType returns the programmable compute block type with
 // the given port budget. The default behavior forwards nothing;
@@ -177,35 +196,24 @@ var progTypeMemo sync.Map // [2]int -> *Type
 // encodes the budget, e.g. "Prog2x2". The returned type is shared
 // across calls and must not be mutated.
 func ProgrammableType(nin, nout int) *Type {
-	if t, ok := progTypeMemo.Load([2]int{nin, nout}); ok {
-		return t.(*Type)
+	if t, ok := progTypeMemo.Get([2]int{nin, nout}); ok {
+		return t
 	}
 	if nin < 1 || nout < 1 {
 		panic(fmt.Sprintf("block: programmable type needs at least 1x1 ports, got %dx%d", nin, nout))
 	}
 	inputs := make([]string, nin)
-	outputs := make([]string, nout)
-	src := "input "
 	for i := range inputs {
-		inputs[i] = fmt.Sprintf("in%d", i)
-		if i > 0 {
-			src += ", "
-		}
-		src += inputs[i]
+		inputs[i] = "in" + strconv.Itoa(i)
 	}
-	src += ";\noutput "
+	outputs := make([]string, nout)
+	var run strings.Builder
 	for i := range outputs {
-		outputs[i] = fmt.Sprintf("out%d", i)
-		if i > 0 {
-			src += ", "
-		}
-		src += outputs[i]
+		outputs[i] = "out" + strconv.Itoa(i)
+		run.WriteString(" " + outputs[i] + " = 0;")
 	}
-	src += ";\nrun {"
-	for i := range outputs {
-		src += fmt.Sprintf(" out%d = 0;", i)
-	}
-	src += " }\n"
+	src := "input " + strings.Join(inputs, ", ") + ";\noutput " + strings.Join(outputs, ", ") +
+		";\nrun {" + run.String() + " }\n"
 	t := &Type{
 		Name:    fmt.Sprintf("Prog%dx%d", nin, nout),
 		Kind:    Programmable,
@@ -214,6 +222,6 @@ func ProgrammableType(nin, nout int) *Type {
 		Program: behavior.MustParse(src),
 		Doc:     fmt.Sprintf("programmable block with %d inputs and %d outputs (PIC16F628-class)", nin, nout),
 	}
-	progTypeMemo.Store([2]int{nin, nout}, t)
+	progTypeMemo.Put([2]int{nin, nout}, t)
 	return t
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/block"
 	"repro/internal/graph"
 )
 
@@ -41,8 +42,9 @@ func (p *HeteroProblem) Validate() error {
 		return fmt.Errorf("core: hetero problem needs at least one block choice")
 	}
 	for _, ch := range p.Choices {
-		if ch.MaxInputs < 1 || ch.MaxOutputs < 1 {
-			return fmt.Errorf("core: block choice %q has non-positive port budget", ch.Name)
+		if min(ch.MaxInputs, ch.MaxOutputs) < 1 || max(ch.MaxInputs, ch.MaxOutputs) > block.MaxProgPorts {
+			return fmt.Errorf("core: block choice %q needs 1 to %d inputs and outputs, got %dx%d",
+				ch.Name, block.MaxProgPorts, ch.MaxInputs, ch.MaxOutputs)
 		}
 		if ch.Cost <= 0 {
 			return fmt.Errorf("core: block choice %q has non-positive cost", ch.Name)

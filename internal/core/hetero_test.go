@@ -23,6 +23,7 @@ func TestHeteroValidate(t *testing.T) {
 	bad := []HeteroProblem{
 		{PredefCost: 1},
 		{Choices: []BlockChoice{{Name: "x", MaxInputs: 0, MaxOutputs: 1, Cost: 1}}, PredefCost: 1},
+		{Choices: []BlockChoice{{Name: "x", MaxInputs: 1, MaxOutputs: 65, Cost: 1}}, PredefCost: 1},
 		{Choices: []BlockChoice{{Name: "x", MaxInputs: 1, MaxOutputs: 1, Cost: 0}}, PredefCost: 1},
 		{Choices: heteroChoices(), PredefCost: 0},
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/block"
 	"repro/internal/graph"
 )
 
@@ -26,11 +27,12 @@ type Constraints struct {
 // block with two inputs and two outputs.
 var DefaultConstraints = Constraints{MaxInputs: 2, MaxOutputs: 2}
 
-// Validate checks the constraints themselves.
+// Validate checks the constraints themselves: each side of the port
+// budget lies in [1, block.MaxProgPorts].
 func (c Constraints) Validate() error {
-	if c.MaxInputs < 1 || c.MaxOutputs < 1 {
-		return fmt.Errorf("core: constraints must allow at least one input and one output, got %dx%d",
-			c.MaxInputs, c.MaxOutputs)
+	if min(c.MaxInputs, c.MaxOutputs) < 1 || max(c.MaxInputs, c.MaxOutputs) > block.MaxProgPorts {
+		return fmt.Errorf("core: constraints must allow 1 to %d inputs and outputs, got %dx%d",
+			block.MaxProgPorts, c.MaxInputs, c.MaxOutputs)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/graph"
 )
 
@@ -126,8 +127,15 @@ func TestConstraintsValidate(t *testing.T) {
 	if err := (Constraints{}).Validate(); err == nil {
 		t.Error("zero constraints accepted")
 	}
-	if err := DefaultConstraints.Validate(); err != nil {
-		t.Error(err)
+	for _, c := range []Constraints{{MaxInputs: 65, MaxOutputs: 1}, {MaxInputs: 1, MaxOutputs: 65}} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%dx%d accepted past the %d-port cap", c.MaxInputs, c.MaxOutputs, block.MaxProgPorts)
+		}
+	}
+	for _, c := range []Constraints{DefaultConstraints, {MaxInputs: 64, MaxOutputs: 64}} {
+		if err := c.Validate(); err != nil {
+			t.Error(err)
+		}
 	}
 }
 

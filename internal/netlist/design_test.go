@@ -191,6 +191,7 @@ func TestParseErrors(t *testing.T) {
 		"design d\nblock a Button\nconnect ay -> b", // malformed ports
 		"design d\nfrobnicate",                      // unknown directive
 		"design d\nblock p Prog2x2 {\ninput in0;\n", // unterminated program
+		"design d\nblock p Prog65x1",                // past the port cap
 	}
 	for _, src := range cases {
 		if _, err := Parse(src, reg); err == nil {

@@ -213,13 +213,14 @@ func parseConnect(d *Design, line string, ln int) error {
 
 // ensureProgType auto-registers ProgNxM types absent from the catalog
 // so serialized synthesized designs can be reloaded against a plain
-// catalog. Non-Prog names are left alone (AddBlock reports them).
+// catalog. Other names, and budgets past block.MaxProgPorts on either
+// side, are left alone (AddBlock reports them as unknown types).
 func ensureProgType(reg *block.Registry, typeName string) error {
 	if reg.Lookup(typeName) != nil {
 		return nil
 	}
 	var nin, nout int
-	if n, _ := fmt.Sscanf(typeName, "Prog%dx%d", &nin, &nout); n == 2 && nin > 0 && nout > 0 {
+	if n, _ := fmt.Sscanf(typeName, "Prog%dx%d", &nin, &nout); n == 2 && min(nin, nout) > 0 && max(nin, nout) <= block.MaxProgPorts {
 		return reg.Ensure(block.ProgrammableType(nin, nout))
 	}
 	return nil

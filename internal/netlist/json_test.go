@@ -88,6 +88,9 @@ func TestUnmarshalJSONErrors(t *testing.T) {
 		{"space in block name", `{"name": "x", "blocks": [{"name": "a Button\nblock b", "type": "And2"}]}`},
 		{"space in design name", `{"name": "x y", "blocks": []}`},
 		{"empty block name", `{"name": "x", "blocks": [{"name": "", "type": "And2"}]}`},
+		// A programmable budget past block.MaxProgPorts is no type.
+		{"inputs past the port cap", `{"name": "x", "blocks": [{"name": "p", "type": "Prog65x1"}]}`},
+		{"outputs past the port cap", `{"name": "x", "blocks": [{"name": "p", "type": "Prog1x65"}]}`},
 	}
 	for _, tc := range cases {
 		if _, err := netlist.UnmarshalJSON([]byte(tc.src), block.Standard()); err == nil {

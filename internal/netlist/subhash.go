@@ -9,40 +9,32 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/behavior"
 	"repro/internal/graph"
+	"repro/internal/memo"
 )
 
 // fmtMemo caches the quoted behavior.Format output by program
 // identity. Programs are immutable by convention, and most blocks run
 // their type's builtin program — one shared *behavior.Program per type
-// — so fingerprinting the partitions of a design formats (and escapes)
-// each distinct program once per process instead of once per block per
-// call. The quoted form is cached rather than the plain text because
-// the fingerprint preimage embeds the quoted form, and re-escaping a
-// multi-hundred-byte program dominates the fingerprint's cost. The map
-// is reset past fmtMemoMax entries to bound retention of cloned
-// override programs in long-lived processes.
-var (
-	fmtMemo    sync.Map // *behavior.Program -> string (quoted)
-	fmtMemoLen atomic.Int64
-)
+// for the whole process (block.Standard) — so fingerprinting the
+// partitions of a design formats (and escapes) each distinct program
+// once per process instead of once per block per call. The quoted form
+// is cached rather than the plain text because the fingerprint
+// preimage embeds the quoted form, and re-escaping a multi-hundred-byte
+// program dominates the fingerprint's cost. Budgeted by entry count to
+// bound retention of cloned override programs in long-lived processes.
+var fmtMemo = memo.New[*behavior.Program, string](fmtMemoEntries, nil)
 
-const fmtMemoMax = 4096
+const fmtMemoEntries = 4096
 
 func quotedFormatMemoized(p *behavior.Program) string {
-	if s, ok := fmtMemo.Load(p); ok {
-		return s.(string)
+	if s, ok := fmtMemo.Get(p); ok {
+		return s
 	}
 	s := strconv.Quote(behavior.Format(p))
-	if fmtMemoLen.Add(1) > fmtMemoMax {
-		fmtMemo.Range(func(k, _ any) bool { fmtMemo.Delete(k); return true })
-		fmtMemoLen.Store(1)
-	}
-	fmtMemo.Store(p, s)
+	fmtMemo.Put(p, s)
 	return s
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/block"
 	"repro/internal/netlist"
 )
 
@@ -23,21 +22,14 @@ func InlineFingerprint(design json.RawMessage, ebk, fingerprint string) (string,
 	switch {
 	case fingerprint != "":
 		return fingerprint, nil
-	case len(design) > 0:
-		d, err := netlist.UnmarshalJSON(design, block.Standard())
-		if err != nil {
-			return "", err
-		}
-		return netlist.Fingerprint(d), nil
-	case ebk != "":
-		d, err := netlist.Parse(ebk, block.Standard())
-		if err != nil {
-			return "", err
-		}
-		return netlist.Fingerprint(d), nil
-	default:
+	case len(design) == 0 && ebk == "":
 		return "", fmt.Errorf("request names no design: set \"design\", \"ebk\" or a fingerprint")
 	}
+	d, err := decodeDesign(design, ebk)
+	if err != nil {
+		return "", err
+	}
+	return netlist.Fingerprint(d), nil
 }
 
 // RoutingKey computes the canonical shard-routing key of one pipeline

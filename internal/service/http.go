@@ -41,23 +41,26 @@ type BatchResponse struct {
 	Responses []*Response `json:"responses"`
 }
 
-// toRequest decodes the design payload against a fresh standard
-// catalog.
+// decodeDesign is the service's one design decoder: it decodes the
+// netlist JSON wire form when design is set, else .ebk source, against
+// the standard catalog. Callers check which of the two is set first,
+// each with its own error text.
+func decodeDesign(design json.RawMessage, ebk string) (*netlist.Design, error) {
+	if len(design) > 0 {
+		return netlist.UnmarshalJSON(design, block.Standard())
+	}
+	return netlist.Parse(ebk, block.Standard())
+}
+
+// toRequest decodes the design payload through decodeDesign.
 func (jr JSONRequest) toRequest() (Request, error) {
-	var (
-		d   *netlist.Design
-		err error
-	)
 	switch {
 	case len(jr.Design) > 0 && jr.EBK != "":
 		return Request{}, fmt.Errorf("give either \"design\" (JSON) or \"ebk\" (text), not both")
-	case len(jr.Design) > 0:
-		d, err = netlist.UnmarshalJSON(jr.Design, block.Standard())
-	case jr.EBK != "":
-		d, err = netlist.Parse(jr.EBK, block.Standard())
-	default:
+	case len(jr.Design) == 0 && jr.EBK == "":
 		return Request{}, fmt.Errorf("request has no design: set \"design\" (JSON) or \"ebk\" (text)")
 	}
+	d, err := decodeDesign(jr.Design, jr.EBK)
 	if err != nil {
 		return Request{}, err
 	}

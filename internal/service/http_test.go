@@ -187,6 +187,7 @@ func TestHTTPErrors(t *testing.T) {
 		{"both forms", "/v1/synthesize", `{"design": {"name":"x"}, "ebk": "design x"}`, http.StatusBadRequest},
 		{"bad algorithm", "/v1/synthesize", `{"ebk": "design g\n\nblock s Button\nblock led LED\nconnect s.y -> led.a\n", "algorithm": "nope"}`, http.StatusUnprocessableEntity},
 		{"bad batch", "/v1/batch", `{"requests": [{}]}`, http.StatusBadRequest},
+		{"inputs past the port cap", "/v1/synthesize", `{"ebk": "design g\n\nblock s Button\nblock n Not\nblock led LED\nconnect s.y -> n.a\nconnect n.y -> led.a\n", "maxInputs": 65, "maxOutputs": 2}`, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/sim"
@@ -57,24 +56,15 @@ func (s *Service) resolveDesign(design json.RawMessage, ebk, fingerprint string)
 	if set != 1 {
 		return nil, fmt.Errorf("give exactly one of \"design\" (JSON), \"ebk\" (text) or \"fingerprint\" (content address), got %d", set)
 	}
-	switch {
-	case len(design) > 0:
-		d, err := netlist.UnmarshalJSON(design, block.Standard())
-		if err != nil {
-			return nil, err
-		}
-		s.PersistDesign(d)
-		return d, nil
-	case ebk != "":
-		d, err := netlist.Parse(ebk, block.Standard())
-		if err != nil {
-			return nil, err
-		}
-		s.PersistDesign(d)
-		return d, nil
-	default:
+	if fingerprint != "" {
 		return s.DesignByFingerprint(fingerprint)
 	}
+	d, err := decodeDesign(design, ebk)
+	if err != nil {
+		return nil, err
+	}
+	s.PersistDesign(d)
+	return d, nil
 }
 
 // toJob decodes the wire request into a SimulateJob.

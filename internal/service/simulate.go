@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/block"
 	"repro/internal/netlist"
 	"repro/internal/sim"
 	"repro/internal/synth"
@@ -171,7 +170,7 @@ func (s *Service) DesignByFingerprint(fp string) (*netlist.Design, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownFingerprint, fp)
 	}
-	d, err := netlist.UnmarshalJSON(raw, block.Standard())
+	d, err := decodeDesign(raw, "")
 	if err != nil {
 		return nil, fmt.Errorf("service: decoding persisted design %s: %w", fp, err)
 	}

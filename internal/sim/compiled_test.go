@@ -105,3 +105,20 @@ func TestCompiledMatchesInterpreterOnRandomStimuli(t *testing.T) {
 		}
 	}
 }
+
+// TestCompiledBuildsNoIndexTables: the name→index tables serve only
+// the interpreter's Env, so a compiled simulator builds none, while an
+// interpreting one has them for every inner block.
+func TestCompiledBuildsNoIndexTables(t *testing.T) {
+	for _, compiled := range []bool{false, true} {
+		s, err := New(garage(t), Config{Compiled: compiled})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rt := range s.insts {
+			if hasIdx, inner := rt.idx != nil, rt.prog != nil; hasIdx != (inner && !compiled) {
+				t.Errorf("compiled=%v: block %q has index tables %v", compiled, rt.name, hasIdx)
+			}
+		}
+	}
+}

@@ -3,8 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/behavior"
 	"repro/internal/graph"
@@ -133,7 +131,7 @@ type instRT struct {
 	id      graph.NodeID
 	name    string
 	prog    *behavior.Program // nil for sensors and primary outputs
-	idx     *progIndex        // name→index tables, nil iff prog is nil
+	idx     *progIndex        // name→index tables; nil unless interpreting
 	inputs  []int64           // current value per input pin
 	prevIn  []int64           // per-pin value at previous evaluation
 	outputs []int64           // latched value per output pin
@@ -159,28 +157,15 @@ type instRT struct {
 
 // progIndex is a behavior program's name→index tables: input and
 // output pin positions plus state/param slots in declaration order.
-// Programs are immutable after parsing, so the tables are resolved
-// once per program (memoized by pointer identity) and shared across
-// every instance and simulator evaluating it — the interpreter's Env
-// calls then cost one map probe instead of a linear scan per access.
+// Only the interpreter's Env resolves names, so sim.New builds the
+// tables per instance when it interprets; the compiled VM addresses
+// slots directly and needs none. With them, the Env calls cost one map
+// probe instead of a linear scan per access.
 type progIndex struct {
 	in, out, state, param map[string]int
 }
 
-// progIndexMemo caches progIndex per program. Capped like the other
-// identity memos in the repo: a long-lived server simulating an
-// unbounded stream of distinct designs must not grow (or pin programs)
-// without bound, so the memo fully resets at the cap.
-var (
-	progIndexMemo   sync.Map // *behavior.Program -> *progIndex
-	progIndexLen    atomic.Int64
-	progIndexMaxLen = int64(4096)
-)
-
-func indexOf(p *behavior.Program) *progIndex {
-	if v, ok := progIndexMemo.Load(p); ok {
-		return v.(*progIndex)
-	}
+func newProgIndex(p *behavior.Program) *progIndex {
 	idx := &progIndex{
 		in:    make(map[string]int, len(p.Inputs)),
 		out:   make(map[string]int, len(p.Outputs)),
@@ -199,11 +184,6 @@ func indexOf(p *behavior.Program) *progIndex {
 	for i, d := range p.Params {
 		idx.param[d.Name] = i
 	}
-	if progIndexLen.Add(1) > progIndexMaxLen {
-		progIndexMemo.Range(func(k, _ any) bool { progIndexMemo.Delete(k); return true })
-		progIndexLen.Store(1)
-	}
-	progIndexMemo.Store(p, idx)
 	return idx
 }
 
@@ -237,7 +217,6 @@ func New(d *netlist.Design, cfg Config) (*Simulator, error) {
 			if rt.prog == nil {
 				return nil, fmt.Errorf("sim: inner block %q has no behavior program", rt.name)
 			}
-			rt.idx = indexOf(rt.prog)
 			rt.state = make([]int64, len(rt.prog.States))
 			for i, st := range rt.prog.States {
 				rt.state[i] = st.Init
@@ -259,6 +238,8 @@ func New(d *netlist.Design, cfg Config) (*Simulator, error) {
 				for i, pd := range rt.prog.Params {
 					rt.machine.SetParam(pd.Name, rt.params[i])
 				}
+			} else {
+				rt.idx = newProgIndex(rt.prog)
 			}
 		}
 		s.insts[id] = rt

@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/memo"
 	"repro/internal/netlist"
 )
 
@@ -205,35 +205,28 @@ func encodeResult(res *core.Result, g *graph.Graph) ([]byte, error) {
 // Incremental synthesis adopts the same partitioned artifact on every
 // request of an edit session, and re-parsing it dominated the cached
 // partition stage. The name-to-NodeID resolution below stays per-call:
-// it is the part that depends on the adopting design. Reset past
-// resultMemoMax entries, like the other artifact memos.
-var resultMemo = struct {
-	sync.RWMutex
-	m map[string]*resultWire
-}{m: map[string]*resultWire{}}
+// it is the part that depends on the adopting design. Budgeted by the
+// artifact bytes its keys hold.
+var resultMemo = memo.New[string, *resultWire](resultMemoBytes, artifactBytes)
 
-const resultMemoMax = 4096
+const resultMemoBytes = 4 << 20
+
+// artifactBytes is the cost of a memo entry keyed by a raw artifact.
+func artifactBytes(raw string) int { return len(raw) }
 
 func memoizedResultWire(raw []byte) (*resultWire, error) {
-	resultMemo.RLock()
-	w, ok := resultMemo.m[string(raw)] // no alloc: map lookup by []byte conversion
-	resultMemo.RUnlock()
-	if ok {
+	k := string(raw)
+	if w, ok := resultMemo.Get(k); ok {
 		return w, nil
 	}
-	w = new(resultWire)
+	w := new(resultWire)
 	if err := json.Unmarshal(raw, w); err != nil {
 		return nil, err
 	}
 	if w.Version != resultWireVersion {
 		return nil, fmt.Errorf("synth: unknown result encoding version %d", w.Version)
 	}
-	resultMemo.Lock()
-	if len(resultMemo.m) >= resultMemoMax {
-		resultMemo.m = map[string]*resultWire{}
-	}
-	resultMemo.m[string(raw)] = w
-	resultMemo.Unlock()
+	resultMemo.Put(k, w)
 	return w, nil
 }
 

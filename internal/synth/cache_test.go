@@ -3,6 +3,8 @@ package synth
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -223,5 +225,52 @@ func TestResultWireRejectsUnknownVersion(t *testing.T) {
 	raw, _ := json.Marshal(resultWire{Version: 99, Algorithm: "paredown"})
 	if _, err := decodeResult(raw, d.Graph()); err == nil {
 		t.Error("unknown wire version accepted")
+	}
+}
+
+// TestArtifactMemosStayWithinBudget decodes a long run of distinct
+// partition and merge artifacts — the adopt path's first step — whose
+// bytes together overflow each memo's budget, and checks after every
+// decode that resultMemo and artifactMemo hold no more artifact bytes
+// than their budgets and that each has reset at least once.
+func TestArtifactMemosStayWithinBudget(t *testing.T) {
+	const artifacts, width = 100, 3000 // each artifact about 50 KB
+	resets := map[string]int{}
+	check := func(name string, used *int, now, budget int) {
+		if now > budget {
+			t.Fatalf("%s holds %d artifact bytes, budget %d", name, now, budget)
+		}
+		if now < *used {
+			resets[name]++
+		}
+		*used = now
+	}
+	var resultUsed, artifactUsed int
+	for i := 0; i < artifacts; i++ {
+		names := make([]string, width)
+		for j := range names {
+			names[j] = fmt.Sprintf("d%d_block%05d", i, j)
+		}
+		raw, err := json.Marshal(resultWire{Version: resultWireVersion, Algorithm: "paredown", Partitions: [][]string{names}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := memoizedResultWire(raw); err != nil {
+			t.Fatal(err)
+		}
+		check("resultMemo", &resultUsed, resultMemo.Used(), resultMemoBytes)
+
+		// A long comment sizes the program text without slowing its parse.
+		prog := "/* " + strings.Join(names, " ") + " */ input in0; output out0; run { out0 = in0; }"
+		if raw, err = json.Marshal(mergedWire{Version: mergedWireVersion, Program: prog, UsedIn: 1, UsedOut: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := memoizedDecode(raw); err != nil {
+			t.Fatal(err)
+		}
+		check("artifactMemo", &artifactUsed, artifactMemo.Used(), artifactMemoBytes)
+	}
+	if resets["resultMemo"] == 0 || resets["artifactMemo"] == 0 {
+		t.Fatalf("%d distinct artifacts never reset both memos: resets %v", artifacts, resets)
 	}
 }

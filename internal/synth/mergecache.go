@@ -3,12 +3,12 @@ package synth
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"repro/internal/behavior"
 	"repro/internal/block"
 	"repro/internal/codegen"
 	"repro/internal/graph"
+	"repro/internal/memo"
 	"repro/internal/netlist"
 )
 
@@ -130,15 +130,11 @@ func encodeMerged(mg *codegen.Merged) ([]byte, error) {
 // same artifacts are adopted on every request, and re-parsing made
 // adoption slower than recomputing the merge. Sharing one
 // *behavior.Program across adoptions is safe because the pipeline
-// treats programs as immutable (mutation boundaries Clone). The memo
-// is reset when it exceeds artifactMemoMax entries — a crude bound
-// that keeps a long-lived service from accumulating dead artifacts.
-var artifactMemo = struct {
-	sync.RWMutex
-	m map[string]*decodedArtifact
-}{m: map[string]*decodedArtifact{}}
+// treats programs as immutable (mutation boundaries Clone). Budgeted
+// by the artifact bytes its keys hold.
+var artifactMemo = memo.New[string, *decodedArtifact](artifactMemoBytes, artifactBytes)
 
-const artifactMemoMax = 4096
+const artifactMemoBytes = 4 << 20
 
 type decodedArtifact struct {
 	prog    *behavior.Program
@@ -147,10 +143,8 @@ type decodedArtifact struct {
 }
 
 func memoizedDecode(raw []byte) (*decodedArtifact, error) {
-	artifactMemo.RLock()
-	a, ok := artifactMemo.m[string(raw)] // no alloc: map lookup by []byte conversion
-	artifactMemo.RUnlock()
-	if ok {
+	k := string(raw)
+	if a, ok := artifactMemo.Get(k); ok {
 		return a, nil
 	}
 	var w mergedWire
@@ -167,13 +161,8 @@ func memoizedDecode(raw []byte) (*decodedArtifact, error) {
 	if err := behavior.Check(prog); err != nil {
 		return nil, fmt.Errorf("synth: cached merge program: %w", err)
 	}
-	a = &decodedArtifact{prog: prog, usedIn: w.UsedIn, usedOut: w.UsedOut}
-	artifactMemo.Lock()
-	if len(artifactMemo.m) >= artifactMemoMax {
-		artifactMemo.m = map[string]*decodedArtifact{}
-	}
-	artifactMemo.m[string(raw)] = a
-	artifactMemo.Unlock()
+	a := &decodedArtifact{prog: prog, usedIn: w.UsedIn, usedOut: w.UsedOut}
+	artifactMemo.Put(k, a)
 	return a, nil
 }
 

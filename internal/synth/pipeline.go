@@ -30,13 +30,13 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/behavior"
 	"repro/internal/block"
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/memo"
 	"repro/internal/netlist"
 )
 
@@ -266,31 +266,23 @@ func (m *Merged) Emit() (*Emitted, error) {
 // (artifactMemo, see memoizedDecode) arranges for interactive edit
 // sessions, where every unedited partition resolves to the one shared
 // parsed program and lands here on its stable p<i> name. Cold runs
-// allocate fresh programs and simply miss. Reset past csrcMemoMax
-// entries, like artifactMemo.
-var (
-	csrcMemo    sync.Map // csrcKey -> string
-	csrcMemoLen atomic.Int64
-)
+// allocate fresh programs and simply miss. Budgeted by entry count.
+var csrcMemo = memo.New[csrcKey, string](csrcMemoEntries, nil)
+
+const csrcMemoEntries = 4096
 
 type csrcKey struct {
 	prog *behavior.Program
 	name string
 }
 
-const csrcMemoMax = 4096
-
 func memoizedEmitC(prog *behavior.Program, name string) string {
 	k := csrcKey{prog, name}
-	if c, ok := csrcMemo.Load(k); ok {
-		return c.(string)
+	if c, ok := csrcMemo.Get(k); ok {
+		return c
 	}
 	c := codegen.EmitC(prog, name)
-	if csrcMemoLen.Add(1) > csrcMemoMax {
-		csrcMemo.Range(func(k, _ any) bool { csrcMemo.Delete(k); return true })
-		csrcMemoLen.Store(1)
-	}
-	csrcMemo.Store(k, c)
+	csrcMemo.Put(k, c)
 	return c
 }
 
