@@ -6,11 +6,11 @@
 // results are cached elsewhere (the artifact store) or not at all
 // (simulation traces, remote fetches).
 //
-// internal/service coalesces synthesis, simulation and verification
-// requests on it; internal/store single-flights remote-origin fetches
-// on it. Both used to carry their own copy of this pattern; behavior
-// differences between copies were a standing bug risk (one of them
-// ignored waiter cancellation), so additions belong here.
+// internal/service coalesces synthesis, partitioning, simulation and
+// verification requests on it; internal/store single-flights
+// remote-origin fetches on it. Both used to carry their own copy of
+// this pattern, and the service kept its own rules for when coalesced
+// work stops; additions belong here.
 package flight
 
 import (
@@ -30,6 +30,10 @@ type call[T any] struct {
 	done chan struct{}
 	val  T
 	err  error
+	// callers counts the callers whose own context has not ended,
+	// guarded by Group.mu; cancel ends the computation once it is 0.
+	callers int
+	cancel  context.CancelFunc
 }
 
 // ErrPanicked is what coalesced waiters receive when the caller that
@@ -38,27 +42,53 @@ var ErrPanicked = errors.New("flight: computation aborted by a panic in a concur
 
 // Do returns the result for key, computing it with fn unless an
 // identical call is already in flight. The bool reports whether this
-// call joined another's flight. A waiter whose context expires stops
-// waiting and returns the context error; the computation itself is
-// never cancelled by a waiter (the winner owns it).
-func (g *Group[T]) Do(ctx context.Context, key string, fn func() (T, error)) (T, bool, error) {
+// call joined another's flight.
+//
+// fn runs in the first caller's goroutine under a context that keeps
+// that caller's values and is cancelled once every caller, the first
+// included, has had its own context end. That last caller also retires
+// the key, so a later call starts a fresh flight. A waiter whose
+// context ends returns at once, and a caller whose context has ended
+// when the computation fails returns its own context error.
+func (g *Group[T]) Do(ctx context.Context, key string, fn func(context.Context) (T, error)) (T, bool, error) {
+	var zero T
+	leaveWhenDone := func(c *call[T]) func() bool {
+		return context.AfterFunc(ctx, func() {
+			g.mu.Lock()
+			c.callers--
+			last := c.callers == 0
+			if last && g.inflight[key] == c {
+				delete(g.inflight, key)
+			}
+			g.mu.Unlock()
+			if last {
+				c.cancel()
+			}
+		})
+	}
 	g.mu.Lock()
 	if g.inflight == nil {
 		g.inflight = map[string]*call[T]{}
 	}
 	if c, ok := g.inflight[key]; ok {
+		c.callers++
 		g.mu.Unlock()
+		defer leaveWhenDone(c)()
 		select {
 		case <-c.done:
+			if c.err != nil && ctx.Err() != nil {
+				return zero, true, ctx.Err()
+			}
 			return c.val, true, c.err
 		case <-ctx.Done():
-			var zero T
 			return zero, true, ctx.Err()
 		}
 	}
-	c := &call[T]{done: make(chan struct{})}
+	fctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	c := &call[T]{done: make(chan struct{}), callers: 1, cancel: cancel}
 	g.inflight[key] = c
 	g.mu.Unlock()
+	defer leaveWhenDone(c)()
 
 	// Cleanup runs deferred so a panicking fn (recovered upstream,
 	// e.g. by net/http) cannot leave the key wedged with an unclosed
@@ -66,16 +96,22 @@ func (g *Group[T]) Do(ctx context.Context, key string, fn func() (T, error)) (T,
 	// ErrPanicked.
 	completed := false
 	defer func() {
+		cancel()
 		if !completed {
 			c.err = ErrPanicked
 		}
 		g.mu.Lock()
-		delete(g.inflight, key)
+		if g.inflight[key] == c {
+			delete(g.inflight, key)
+		}
 		g.mu.Unlock()
 		close(c.done)
 	}()
-	c.val, c.err = fn()
+	c.val, c.err = fn(fctx)
 	completed = true
+	if c.err != nil && ctx.Err() != nil {
+		return zero, false, ctx.Err()
+	}
 	return c.val, false, c.err
 }
 

@@ -258,13 +258,20 @@ func (rt *Router) dispatch(w http.ResponseWriter, r *http.Request, route string)
 	if !ok {
 		return
 	}
-	key, err := service.RoutingKey(route, body)
-	if err != nil {
-		key = bodyKey(body)
-	}
 	streaming := route == "/v1/simulate/resume" ||
 		(route == "/v1/simulate" && (r.URL.Query().Get("stream") == "ndjson" || r.URL.Query().Get("format") == "vcd"))
-	rt.forward(w, r, body, key, streaming)
+	rt.forward(w, r, body, routeKey(route, body), streaming)
+}
+
+// routeKey canonicalizes a pipeline request body to its routing key
+// (service.RoutingKey), falling back to its opaque hash so even junk
+// routes deterministically. A batch item routes as a /v1/synthesize
+// body.
+func routeKey(route string, body []byte) string {
+	if key, err := service.RoutingKey(route, body); err == nil {
+		return key
+	}
+	return bodyKey(body)
 }
 
 // attempt is the outcome of one proxied try against one shard.

@@ -9,8 +9,6 @@ import (
 	"net/http"
 	"sync"
 	"time"
-
-	"repro/internal/service"
 )
 
 // BatchRecord is one line of the router's /v1/batch NDJSON response.
@@ -92,17 +90,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	healthy := rt.healthyShards()
 	groups := map[string]*batchGroup{}
 	for i, raw := range br.Requests {
-		var jr service.JSONRequest
-		key := ""
-		if err := json.Unmarshal(raw, &jr); err == nil {
-			if fp, err := service.InlineFingerprint(jr.Design, jr.EBK, ""); err == nil {
-				key = fp
-			}
-		}
-		if key == "" {
-			key = bodyKey(raw)
-		}
-		owner := Owner(key, healthy)
+		owner := Owner(routeKey("/v1/synthesize", raw), healthy)
 		g := groups[owner]
 		if g == nil {
 			g = &batchGroup{}
@@ -257,17 +245,7 @@ func (rt *Router) retryGroup(r *http.Request, failed string, g *batchGroup, caus
 	}
 	regrouped := map[string]*batchGroup{}
 	for j, idx := range g.indices {
-		var jr service.JSONRequest
-		key := ""
-		if err := json.Unmarshal(g.reqs[j], &jr); err == nil {
-			if fp, err := service.InlineFingerprint(jr.Design, jr.EBK, ""); err == nil {
-				key = fp
-			}
-		}
-		if key == "" {
-			key = bodyKey(g.reqs[j])
-		}
-		sib := Owner(key, survivors)
+		sib := Owner(routeKey("/v1/synthesize", g.reqs[j]), survivors)
 		sg := regrouped[sib]
 		if sg == nil {
 			sg = &batchGroup{}

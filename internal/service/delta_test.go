@@ -244,8 +244,8 @@ func (g gateBackend) Stats() (s store.BackendStats) { return s }
 func (g gateBackend) Close() error                  { return nil }
 
 // waitingCtx signals once when a caller first asks for its Done
-// channel: a coalesced flight waiter does so as it starts waiting,
-// while a flight's winner computes detached and never does.
+// channel: every caller of a flight, its winner included, does so as
+// the flight counts it in.
 type waitingCtx struct {
 	context.Context
 	once    sync.Once
@@ -291,15 +291,15 @@ func TestDeltaCoalesces(t *testing.T) {
 			srcs[i], stats[i] = src, ds
 		}(i)
 	}
-	// Hold the winner at its first store lookup until the other deltas
-	// wait on its flight.
+	// Hold the winner at its first store lookup until every delta is
+	// counted in on its flight.
 	deadline := time.After(10 * time.Second)
 wait:
-	for joined := 0; joined < n-1; joined++ {
+	for joined := 0; joined < n; joined++ {
 		select {
 		case <-waiting:
 		case <-deadline:
-			t.Errorf("%d of %d deltas joined the flight", joined, n-1)
+			t.Errorf("%d of %d deltas joined the flight", joined, n)
 			break wait
 		}
 	}

@@ -100,19 +100,26 @@ type Service struct {
 	// multiply the worker pool past Config.Workers.
 	sem chan struct{}
 	// synthGroup coalesces identical concurrent synthesis and delta
-	// computations onto one flight (see synthesize); simGroup and
-	// verifyGroup do the same for simulation and verification (see
-	// Simulate, Verify). A waiter whose client disconnects stops
-	// waiting immediately; the winner's computation keeps running
-	// detached and still populates the caches. partGroup coalesces
-	// partition requests but shares no result (see Partition).
+	// computations onto one flight (see synthesize); partGroup,
+	// simGroup and verifyGroup do the same for partitioning,
+	// simulation and verification. Each runs its work under the
+	// flight's context, which flight.Group.Do cancels once no request
+	// waits for it.
 	synthGroup  flight.Group[synthOutcome]
+	partGroup   flight.Group[tiered[*PartitionResponse]]
 	simGroup    flight.Group[*SimulateResponse]
-	verifyGroup flight.Group[verifyOutcome]
-	partGroup   flight.Group[struct{}]
+	verifyGroup flight.Group[tiered[*VerifyResponse]]
 	// adm is the overload gate in front of the pipeline routes
 	// (nil when neither MaxInflight nor QuotaRPS is configured).
 	adm *admission
+}
+
+// tiered is what a partition or verify flight shares with its
+// callers: the response and the store tier that served it (TierNone
+// when it was computed).
+type tiered[R any] struct {
+	resp R
+	tier store.Tier
 }
 
 // synthOutcome is what a synthesis flight produces: the response, the
@@ -319,12 +326,11 @@ func StageCacheOver(st *store.Store) synth.StageCache {
 // the tier that served it; cached responses — memory, disk or remote —
 // are byte-for-byte identical to cold ones. Identical concurrent
 // requests share one flight (see synthesize), so a coalesced waiter
-// reports the flight's tier. The context gates admission and waiting
-// (a request whose context is already cancelled fails fast, and a
-// coalesced waiter whose client disconnects stops waiting), but a cold
-// run, once started, is completed and cached detached from the
-// originating context — so a client disconnect can never poison the
-// coalesced requests waiting on the same flight.
+// reports the flight's tier. A request whose context is already done
+// fails fast; one whose context ends while it waits returns the
+// context error, and the cold run stops once no identical request
+// waits for it any more (flight.Group.Do), so one client leaving never
+// fails another.
 func (s *Service) Synthesize(ctx context.Context, req Request) (*Response, Source, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -353,7 +359,7 @@ func (s *Service) Synthesize(ctx context.Context, req Request) (*Response, Sourc
 // reports whether this call joined another's flight.
 func (s *Service) synthesize(ctx context.Context, ca *synth.Captured) (synthOutcome, bool, error) {
 	sk := ca.StageKey()
-	return s.synthGroup.Do(ctx, sk.String(), func() (synthOutcome, error) {
+	return s.synthGroup.Do(ctx, sk.String(), func(ctx context.Context) (synthOutcome, error) {
 		if r, tier, ok := s.loadResponse(sk); ok {
 			return synthOutcome{resp: r, tier: tier}, nil
 		}
@@ -364,7 +370,7 @@ func (s *Service) synthesize(ctx context.Context, ca *synth.Captured) (synthOutc
 			s.stats.observeInfeasibleHit()
 			return synthOutcome{}, synth.ErrUnrealizable
 		}
-		em, ds, err := synth.SynthesizeCaptured(context.WithoutCancel(ctx), ca, &stages{store: s.store})
+		em, ds, err := synth.SynthesizeCaptured(ctx, ca, &stages{store: s.store})
 		if err != nil {
 			return synthOutcome{}, s.noteInfeasible(sk, err)
 		}
@@ -408,51 +414,31 @@ func (s *Service) SynthesizeAll(ctx context.Context, reqs []Request) ([]*Respons
 // synth.StagePartitioned), independently of full responses — a
 // partition computed here is reused by a later full synthesis of the
 // same job, and vice versa, across restarts when the store has a disk
-// — and identical concurrent partition requests coalesce onto a single
-// computation.
+// — and identical concurrent partition requests share one flight, like
+// Synthesize's, so a coalesced waiter reports the flight's tier.
 func (s *Service) Partition(ctx context.Context, req Request) (*PartitionResponse, Source, error) {
 	start := time.Now()
-	fail := func(err error) (*PartitionResponse, Source, error) {
+	ca, err := synth.Capture(req.Design, req.synthOptions())
+	if err != nil {
 		s.stats.observe(time.Since(start), outcomeError)
 		return nil, SourceMiss, err
 	}
-	ca, err := synth.Capture(req.Design, req.synthOptions())
-	if err != nil {
-		return fail(err)
-	}
-	// Coalesce identical concurrent partition computations: the first
-	// request computes under its own context (a client disconnect
-	// cancels an exhaustive search) and writes the stage artifact; the
-	// rest wait, then serve from the store the winner just populated
-	// (each decodes against its own design build). No result or error
-	// is shared, so a waiter whose winner failed or panicked simply
-	// computes itself. The flight key is the stage artifact's own key —
-	// the structural fingerprint — so requests that differ only in
-	// parameters (same partitioning) coalesce too.
-	st := &stages{store: s.store}
-	var pt *synth.Partitioned
-	var hit bool
-	_, coalesced, werr := s.partGroup.Do(ctx, ca.StructKey().String(), func() (struct{}, error) {
-		pt, hit, err = ca.PartitionCached(ctx, st)
-		return struct{}{}, nil
-	})
-	if coalesced {
-		if werr != nil && ctx.Err() != nil {
-			return fail(werr)
+	out, coalesced, err := s.partGroup.Do(ctx, ca.StageKey().String(), func(ctx context.Context) (tiered[*PartitionResponse], error) {
+		st := &stages{store: s.store}
+		pt, hit, err := ca.PartitionCached(ctx, st)
+		if err != nil {
+			return tiered[*PartitionResponse]{}, err
 		}
-		pt, hit, err = ca.PartitionCached(ctx, st)
-	}
-	if err != nil {
-		return fail(err)
-	}
-	tier := store.TierNone
-	if hit {
-		tier = st.tier
-	}
-	source, o := served(tier, false, nil)
-	resp := partitionSummary(ca, pt.Result)
+		tier := store.TierNone
+		if hit {
+			tier = st.tier
+		}
+		resp := partitionSummary(ca, pt.Result)
+		return tiered[*PartitionResponse]{resp: &resp, tier: tier}, nil
+	})
+	source, o := served(out.tier, coalesced, err)
 	s.stats.observe(time.Since(start), o)
-	return &resp, source, nil
+	return out.resp, source, err
 }
 
 // Stats snapshots the service counters, including the store's.

@@ -79,10 +79,9 @@ func (s *Service) applySimDefaults(c sim.Config) sim.Config {
 
 // Simulate runs (or joins a concurrent identical run of) one
 // simulation job. The bool reports whether this call coalesced onto
-// another request's computation. The context gates admission and
-// waiting; the computation itself runs detached, so a client
-// disconnect cannot poison coalesced requests (the event budget
-// bounds runaway simulations instead).
+// another request's computation. The run stops once no request waits
+// for it any more (flight.Group.Do), so one client leaving never fails
+// another.
 func (s *Service) Simulate(ctx context.Context, job SimulateJob) (*SimulateResponse, bool, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -94,8 +93,8 @@ func (s *Service) Simulate(ctx context.Context, job SimulateJob) (*SimulateRespo
 	stimHash := synth.StimuliHash(job.Stimuli)
 
 	key := fmt.Sprintf("sim|%s|until=%d|%s|stim=%s", fp, job.Until, job.Config.Canonical(), stimHash)
-	resp, coalesced, err := s.simGroup.Do(ctx, key, func() (*SimulateResponse, error) {
-		return runSimulation(fp, stimHash, job)
+	resp, coalesced, err := s.simGroup.Do(ctx, key, func(ctx context.Context) (*SimulateResponse, error) {
+		return runSimulation(ctx, fp, stimHash, job)
 	})
 
 	// Fresh runs count as outcomeUncached, not misses: simulations are
@@ -112,32 +111,37 @@ func (s *Service) Simulate(ctx context.Context, job SimulateJob) (*SimulateRespo
 	return resp, coalesced, err
 }
 
-// runSimulation executes one simulation job to completion.
-func runSimulation(fingerprint, stimulusHash string, job SimulateJob) (*SimulateResponse, error) {
-	sm, err := sim.New(job.Design, job.Config)
+// simulator builds the job's simulator with its stimuli scheduled.
+func (j SimulateJob) simulator() (*sim.Simulator, error) {
+	sm, err := sim.New(j.Design, j.Config)
 	if err != nil {
 		return nil, err
 	}
-	if err := sm.Stimulate(job.Stimuli...); err != nil {
+	if err := sm.Stimulate(j.Stimuli...); err != nil {
 		return nil, err
 	}
-	if job.Until > 0 {
-		err = sm.Run(job.Until)
-	} else {
-		_, err = sm.RunToQuiescence()
+	return sm, nil
+}
+
+// run advances sm to the job's horizon (quiescence when it has none)
+// unless ctx ends first.
+func (j SimulateJob) run(ctx context.Context, sm *sim.Simulator) error {
+	if j.Until > 0 {
+		return sm.RunContext(ctx, j.Until)
 	}
+	_, err := sm.RunToQuiescenceContext(ctx)
+	return err
+}
+
+// runSimulation executes one simulation job until it completes or ctx
+// ends.
+func runSimulation(ctx context.Context, fingerprint, stimulusHash string, job SimulateJob) (*SimulateResponse, error) {
+	sm, err := job.simulator()
 	if err != nil {
 		return nil, err
 	}
-	g := job.Design.Graph()
-	outputs := map[string]int64{}
-	for _, id := range g.PrimaryOutputs() {
-		name := g.Name(id)
-		v, err := sm.OutputValue(name)
-		if err != nil {
-			return nil, err
-		}
-		outputs[name] = v
+	if err := job.run(ctx, sm); err != nil {
+		return nil, err
 	}
 	return &SimulateResponse{
 		Design:       job.Design.Name,
@@ -146,7 +150,7 @@ func runSimulation(fingerprint, stimulusHash string, job SimulateJob) (*Simulate
 		StimuliCount: len(job.Stimuli),
 		EndMillis:    sm.Now(),
 		Trace:        sm.Trace(),
-		Outputs:      outputs,
+		Outputs:      primaryOutputs(job.Design, sm),
 	}, nil
 }
 

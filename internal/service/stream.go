@@ -323,12 +323,8 @@ func (s *Service) handleSimulateStream(w http.ResponseWriter, r *http.Request, j
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	sm, err := sim.New(job.Design, job.Config)
+	sm, err := job.simulator()
 	if err != nil {
-		writeSimError(w, err)
-		return
-	}
-	if err := sm.Stimulate(job.Stimuli...); err != nil {
 		writeSimError(w, err)
 		return
 	}
@@ -449,12 +445,8 @@ func (s *Service) handleSimulateVCD(w http.ResponseWriter, r *http.Request, jr S
 		return
 	}
 	job.Config = s.applySimDefaults(job.Config)
-	sm, err := sim.New(job.Design, job.Config)
+	sm, err := job.simulator()
 	if err != nil {
-		writeSimError(w, err)
-		return
-	}
-	if err := sm.Stimulate(job.Stimuli...); err != nil {
 		writeSimError(w, err)
 		return
 	}
@@ -464,11 +456,7 @@ func (s *Service) handleSimulateVCD(w http.ResponseWriter, r *http.Request, jr S
 		return
 	}
 	sm.SetSink(vw)
-	if job.Until > 0 {
-		err = sm.RunContext(r.Context(), job.Until)
-	} else {
-		_, err = sm.RunToQuiescenceContext(r.Context())
-	}
+	err = job.run(r.Context(), sm)
 	vw.Flush()
 	if err != nil {
 		fmt.Fprintf(w, "$comment aborted: %s $end\n", err)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/store"
 	"repro/internal/synth"
 )
 
@@ -45,22 +44,13 @@ type VerifyResponse struct {
 	StimuliCount int    `json:"stimuliCount"`
 }
 
-// verifyOutcome is what a verify flight produces: the response plus
-// the store tier that served the verified artifact (TierNone when it
-// was computed).
-type verifyOutcome struct {
-	resp *VerifyResponse
-	tier store.Tier
-}
-
-func (j VerifyJob) verifyOptions(ctx context.Context, maxEvents int) synth.VerifyOptions {
+func (j VerifyJob) verifyOptions(maxEvents int) synth.VerifyOptions {
 	return synth.VerifyOptions{
 		Stimuli:      j.Stimuli,
 		Steps:        j.Steps,
 		Seed:         j.Seed,
 		SettleMillis: j.SettleMillis,
 		MaxEvents:    maxEvents,
-		Ctx:          ctx,
 	}
 }
 
@@ -75,7 +65,7 @@ func (j VerifyJob) verifyOptions(ctx context.Context, maxEvents int) synth.Verif
 // runs the synthesis pipeline tail (synth.SynthesizeCaptured, adopting
 // and writing stage artifacts like every other cold run) and then the
 // verify stage. Identical concurrent requests coalesce onto one
-// computation.
+// computation, which stops once none of them waits for it any more.
 func (s *Service) Verify(ctx context.Context, job VerifyJob) (*VerifyResponse, Source, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -89,14 +79,13 @@ func (s *Service) Verify(ctx context.Context, job VerifyJob) (*VerifyResponse, S
 	}
 	// Resolve the schedule once, against the original design: the
 	// verify key, the flight key, and the simulation all see the same
-	// concrete stimuli. The computation runs detached from the request
-	// context (like Synthesize), so a client disconnect cannot poison
-	// coalesced waiters; the event budget bounds runaway simulations.
-	detached := context.WithoutCancel(ctx)
-	opts := job.verifyOptions(detached, s.capSimEvents(job.MaxEvents)).Resolved(ca.Design)
+	// concrete stimuli.
+	opts := job.verifyOptions(s.capSimEvents(job.MaxEvents)).Resolved(ca.Design)
 	key := ca.VerifyStageKey(opts)
 
-	out, coalesced, err := s.verifyGroup.Do(ctx, key.String(), func() (verifyOutcome, error) {
+	out, coalesced, err := s.verifyGroup.Do(ctx, key.String(), func(ctx context.Context) (tiered[*VerifyResponse], error) {
+		opts := opts
+		opts.Ctx = ctx
 		// A verified artifact cached by an earlier request (or
 		// process) answers from the capture stage alone: the partition
 		// summary is rebuilt from its own stage artifact (cached by the
@@ -105,21 +94,21 @@ func (s *Service) Verify(ctx context.Context, job VerifyJob) (*VerifyResponse, S
 		cache := &stages{store: s.store}
 		if n, mm, ok := ca.LookupVerified(cache, opts); ok {
 			tier := cache.tier
-			pt, _, err := ca.PartitionCached(detached, cache)
+			pt, _, err := ca.PartitionCached(ctx, cache)
 			if err != nil {
-				return verifyOutcome{}, err
+				return tiered[*VerifyResponse]{}, err
 			}
-			return verifyOutcome{resp: verifyResponse(ca, pt.Result, mm, opts, n), tier: tier}, nil
+			return tiered[*VerifyResponse]{resp: verifyResponse(ca, pt.Result, mm, opts, n), tier: tier}, nil
 		}
-		em, _, err := synth.SynthesizeCaptured(detached, ca, cache)
+		em, _, err := synth.SynthesizeCaptured(ctx, ca, cache)
 		if err != nil {
-			return verifyOutcome{}, err
+			return tiered[*VerifyResponse]{}, err
 		}
 		v, _, err := em.VerifyCached(cache, opts)
 		if err != nil {
-			return verifyOutcome{}, err
+			return tiered[*VerifyResponse]{}, err
 		}
-		return verifyOutcome{resp: verifyResponse(ca, em.Result, v.Mismatches, opts, len(opts.Stimuli)), tier: store.TierNone}, nil
+		return tiered[*VerifyResponse]{resp: verifyResponse(ca, em.Result, v.Mismatches, opts, len(opts.Stimuli))}, nil
 	})
 
 	source, o := served(out.tier, coalesced, err)

@@ -319,7 +319,7 @@ func (s *Store) Get(k Key) ([]byte, Tier, bool) {
 // re-writing. The Background context means waiters ride the fetch out
 // (it is bounded by the remote backend's own timeout).
 func (s *Store) fetchRemote(k Key, id string) ([]byte, bool) {
-	f, _, _ := s.rflight.Do(context.Background(), id, func() (remoteFetch, error) {
+	f, _, _ := s.rflight.Do(context.Background(), id, func(context.Context) (remoteFetch, error) {
 		payload, ok := s.remote.Get(k)
 		if ok {
 			// Write through so the next Get is local. A disk failure

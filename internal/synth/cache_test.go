@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/designs"
 	"repro/internal/netlist"
+	"repro/internal/randgen"
 )
 
 // mapStageCache is an in-memory StageCache for tests.
@@ -272,5 +273,71 @@ func TestArtifactMemosStayWithinBudget(t *testing.T) {
 	}
 	if resets["resultMemo"] == 0 || resets["artifactMemo"] == 0 {
 		t.Fatalf("%d distinct artifacts never reset both memos: resets %v", artifacts, resets)
+	}
+}
+
+// TestEmitMemoizesAdoptedMergesOnly: Emit memoizes generated C only for
+// merges adopted from the stage cache, whose programs later adoptions
+// present again. Cold syntheses of distinct designs leave csrcMemo as
+// it was, while a delta that adopts its unedited partitions' merges
+// memoizes their C and an identical delta after it hits every entry.
+func TestEmitMemoizesAdoptedMergesOnly(t *testing.T) {
+	ctx := context.Background()
+	before := csrcMemo.Used()
+	for seed := int64(1); seed <= 4; seed++ {
+		d, err := randgen.Generate(randgen.Params{InnerBlocks: 30, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(ctx, d, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if used := csrcMemo.Used(); used != before {
+		t.Errorf("cold syntheses grew csrcMemo from %d to %d entries", before, used)
+	}
+
+	d := designs.Lookup("Timed Passage").Build()
+	edits := editScenarios(d)["param-tweak"]
+	if edits == nil {
+		t.Fatal("no parameter to tweak")
+	}
+	cache := newMapStageCache()
+	base, err := Capture(d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := SynthesizeCaptured(ctx, base, cache); err != nil {
+		t.Fatal(err)
+	}
+	delta := func() (*Emitted, int) {
+		ca, err := CaptureDelta(base, edits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		em, ds, err := SynthesizeCaptured(ctx, ca, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds.Adopted == 0 {
+			t.Fatal("delta adopted no merge")
+		}
+		return em, csrcMemo.Used()
+	}
+	delta()
+	em, used := delta()
+	_, again := delta()
+	if again != used {
+		t.Errorf("an identical adopting delta grew csrcMemo from %d to %d entries", used, again)
+	}
+	for pi, mg := range em.Merges {
+		name := fmt.Sprintf("p%d", pi)
+		c, ok := csrcMemo.Get(csrcKey{mg.Program, name})
+		if em.adopted[pi] != ok {
+			t.Errorf("%s: adopted %v, memoized %v", name, em.adopted[pi], ok)
+		}
+		if ok && c != em.CSource[name] {
+			t.Errorf("%s: memoized C differs from the emitted C", name)
+		}
 	}
 }

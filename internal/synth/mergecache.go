@@ -47,6 +47,7 @@ func (p *Partitioned) MergeCached(cache StageCache) (*Merged, MergeStats, error)
 		Partitioned: p,
 		Merges:      make([]*codegen.Merged, len(p.Result.Partitions)),
 		ProgType:    block.ProgrammableType(c.MaxInputs, c.MaxOutputs),
+		adopted:     make([]bool, len(p.Result.Partitions)),
 	}
 	var stats MergeStats
 
@@ -69,7 +70,7 @@ func (p *Partitioned) MergeCached(cache StageCache) (*Merged, MergeStats, error)
 		if haveKey {
 			if raw, ok := cache.GetStage(StagePartitionMerge, key); ok {
 				if mg, err := decodeMerged(raw, h, part, c.MaxInputs, c.MaxOutputs); err == nil {
-					m.Merges[pi] = mg
+					m.Merges[pi], m.adopted[pi] = mg, true
 					stats.Adopted++
 					continue
 				}

@@ -103,6 +103,8 @@ type Merged struct {
 	Merges []*codegen.Merged
 	// ProgType is the programmable block type partitions map onto.
 	ProgType *block.Type
+	// adopted marks the Merges decoded from the stage cache.
+	adopted []bool
 }
 
 // validateForMerge checks the partitioning result against the design
@@ -208,7 +210,11 @@ func (m *Merged) Emit() (*Emitted, error) {
 		if err := nd.SetProgram(nid, mg.Program); err != nil {
 			return nil, err
 		}
-		out.CSource[name] = memoizedEmitC(mg.Program, name)
+		if m.adopted[pi] {
+			out.CSource[name] = memoizedEmitC(mg.Program, name)
+		} else {
+			out.CSource[name] = codegen.EmitC(mg.Program, name)
+		}
 	}
 
 	// mapSource resolves an original output port to its new endpoint.
@@ -265,8 +271,9 @@ func (m *Merged) Emit() (*Emitted, error) {
 // emitted repeatedly — exactly what the merge-artifact decode memo
 // (artifactMemo, see memoizedDecode) arranges for interactive edit
 // sessions, where every unedited partition resolves to the one shared
-// parsed program and lands here on its stable p<i> name. Cold runs
-// allocate fresh programs and simply miss. Budgeted by entry count.
+// parsed program and lands here on its stable p<i> name. Emit looks up
+// adopted merges only: a freshly merged program is never presented
+// again. Budgeted by entry count.
 var csrcMemo = memo.New[csrcKey, string](csrcMemoEntries, nil)
 
 const csrcMemoEntries = 4096
