@@ -3,29 +3,21 @@
 // wireversion, metricname, exporteddoc — over Go packages and exits
 // non-zero on any finding. CI runs it over ./... as a required step.
 //
-// Standalone usage (the common case):
+// Usage:
 //
 //	go run ./cmd/eblocksvet ./...
 //	go run ./cmd/eblocksvet -run determinism,lockheld ./internal/...
 //	go run ./cmd/eblocksvet -list
 //
-// It is also a `go vet` tool: when invoked with a single *.cfg
-// argument it speaks the unitchecker protocol, so
-//
-//	go build -o /tmp/eblocksvet ./cmd/eblocksvet
-//	go vet -vettool=/tmp/eblocksvet ./...
-//
-// runs the same suite under cmd/go's caching. Suppress individual
-// findings with `//eblocks:ignore <analyzer> <reason>` on the same or
-// the preceding line; see docs/ANALYSIS.md for the full catalog.
+// Suppress individual findings with `//eblocks:ignore <analyzer>
+// <reason>` on the same or the preceding line; see docs/ANALYSIS.md
+// for the full catalog.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/analysis"
@@ -34,36 +26,11 @@ import (
 
 func main() {
 	var (
-		list      = flag.Bool("list", false, "list the analyzers in the suite and exit")
-		run       = flag.String("run", "all", "comma-separated analyzer names to run")
-		dir       = flag.String("dir", "", "directory to run go list from (default: current directory)")
-		version   = flag.String("V", "", "print version information (go vet protocol; use -V=full)")
-		flagsDesc = flag.Bool("flags", false, "describe the tool's flags as JSON (go vet protocol)")
+		list = flag.Bool("list", false, "list the analyzers in the suite and exit")
+		run  = flag.String("run", "all", "comma-separated analyzer names to run")
+		dir  = flag.String("dir", "", "directory to run go list from (default: current directory)")
 	)
 	flag.Parse()
-
-	if *version != "" {
-		fmt.Println(driver.VersionString(filepath.Base(os.Args[0])))
-		return
-	}
-
-	// cmd/go probes `tool -flags` for the pass-through flags it may
-	// forward from the go vet command line.
-	if *flagsDesc {
-		type flagDef struct {
-			Name  string
-			Bool  bool
-			Usage string
-		}
-		defs := []flagDef{{Name: "run", Usage: "comma-separated analyzer names to run"}}
-		out, err := json.Marshal(defs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "eblocksvet: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(string(out))
-		return
-	}
 
 	analyzers, err := analysis.Select(*run)
 	if err != nil {
@@ -74,19 +41,6 @@ func main() {
 	if *list {
 		for _, a := range analyzers {
 			fmt.Printf("%-12s %s\n", a.Name, firstLine(a.Doc))
-		}
-		return
-	}
-
-	// A single *.cfg argument means cmd/go invoked us as a vet tool.
-	if args := flag.Args(); len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		n, err := driver.RunVetTool(args[0], analyzers, os.Stderr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "eblocksvet: %v\n", err)
-			os.Exit(1)
-		}
-		if n > 0 {
-			os.Exit(2)
 		}
 		return
 	}

@@ -27,12 +27,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/netlist"
 	"repro/internal/service"
 	"repro/internal/store"
 	"repro/internal/synth"
@@ -65,41 +63,47 @@ func main() {
 		Algorithm:   synth.Algorithm(*algorithm),
 		PaperMode:   *paperMode,
 	}
+	var (
+		res *cli.SynthesizeResult
+		ca  *synth.Captured
+	)
 	if *basePath != "" {
 		if *verify || *dot || *parts {
 			fatal(fmt.Errorf("-verify/-dot/-partitions are not supported with -base"))
 		}
-		runDelta(*basePath, *editsPath, *storeDir, synthOpts, *jsonOut, *outPath, *cPath)
-		return
-	}
-	if *editsPath != "" {
-		fatal(fmt.Errorf("-edits requires -base"))
-	}
-
-	d, err := cli.LoadDesign(*designPath, *library)
-	if err != nil {
-		fatal(err)
-	}
-	res, err := cli.SynthesizeReport(os.Stderr, d, cli.SynthesizeOptions{
-		Synth:  synthOpts,
-		Verify: *verify,
-		DOT:    *dot,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	if *parts {
-		fmt.Fprint(os.Stderr, cli.PartitionSummary(d, res.Output.Result))
-	}
-	if *dot {
-		fmt.Println(res.DOT)
-	}
-	var payload string
-	if *jsonOut {
-		ca, err := synth.Capture(d, synthOpts)
+		em := runDelta(*basePath, *editsPath, *storeDir, synthOpts)
+		res, ca = cli.NewSynthesizeResult(em.Output()), em.Captured
+	} else {
+		if *editsPath != "" {
+			fatal(fmt.Errorf("-edits requires -base"))
+		}
+		d, err := cli.LoadDesign(*designPath, *library)
 		if err != nil {
 			fatal(err)
 		}
+		res, err = cli.SynthesizeReport(os.Stderr, d, cli.SynthesizeOptions{
+			Synth:  synthOpts,
+			Verify: *verify,
+			DOT:    *dot,
+		})
+		if err != nil {
+			fatal(err)
+		}
+		if *parts {
+			fmt.Fprint(os.Stderr, cli.PartitionSummary(d, res.Output.Result))
+		}
+		if *dot {
+			fmt.Println(res.DOT)
+		}
+		if *jsonOut {
+			if ca, err = synth.Capture(d, synthOpts); err != nil {
+				fatal(err)
+			}
+		}
+	}
+
+	payload := res.NetlistEBK
+	if *jsonOut {
 		resp, err := service.NewResponse(res.Output, ca)
 		if err != nil {
 			fatal(err)
@@ -109,8 +113,6 @@ func main() {
 			fatal(err)
 		}
 		payload = string(raw) + "\n"
-	} else {
-		payload = res.NetlistEBK
 	}
 	if *outPath != "" {
 		if err := os.WriteFile(*outPath, []byte(payload), 0o644); err != nil {
@@ -131,8 +133,8 @@ func main() {
 // runDelta is incremental mode: apply a JSON edit list to the base
 // design and re-synthesize, adopting unchanged stage artifacts from
 // the persistent stage cache. The adopted/recomputed split is reported
-// on stderr; the synthesized outputs go wherever full mode's would.
-func runDelta(basePath, editsPath, storeDir string, opts synth.Options, jsonOut bool, outPath, cPath string) {
+// on stderr; the caller writes the outputs as full mode does.
+func runDelta(basePath, editsPath, storeDir string, opts synth.Options) *synth.Emitted {
 	if editsPath == "" {
 		fatal(fmt.Errorf("-base requires -edits (a JSON array of edit objects)"))
 	}
@@ -178,55 +180,7 @@ func runDelta(basePath, editsPath, storeDir string, opts synth.Options, jsonOut 
 	}
 	fmt.Fprintf(os.Stderr, "delta: partitionFromCache=%t adopted=%d recomputed=%d\n",
 		stats.PartitionFromCache, stats.Adopted, stats.Recomputed)
-
-	out := em.Output()
-	var payload string
-	if jsonOut {
-		resp, err := service.NewResponse(out, em.Captured)
-		if err != nil {
-			fatal(err)
-		}
-		raw, err := json.MarshalIndent(resp, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		payload = string(raw) + "\n"
-	} else {
-		payload = netlistEBK(out)
-	}
-	if outPath != "" {
-		if err := os.WriteFile(outPath, []byte(payload), 0o644); err != nil {
-			fatal(err)
-		}
-	} else {
-		fmt.Print(payload)
-	}
-	if cPath != "" {
-		if err := os.WriteFile(cPath, []byte(combinedCSource(out)), 0o644); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// netlistEBK renders the synthesized design in .ebk text.
-func netlistEBK(out *synth.Output) string {
-	return netlist.Serialize(out.Synthesized)
-}
-
-// combinedCSource concatenates the firmware modules sorted by block
-// name, matching full mode's -c output.
-func combinedCSource(out *synth.Output) string {
-	names := make([]string, 0, len(out.CSource))
-	for n := range out.CSource {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		b.WriteString(out.CSource[n])
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return em
 }
 
 func fatal(err error) {

@@ -10,9 +10,9 @@
 // (Analyzer, Pass, Diagnostic) on the standard library alone, because
 // this module deliberately has no external dependencies: analyzers
 // receive one type-checked package at a time and report position-
-// anchored diagnostics. Drivers live in internal/analysis/driver
-// (standalone go-list loader and the `go vet -vettool` unitchecker
-// protocol); the multichecker binary is cmd/eblocksvet.
+// anchored diagnostics. The driver, a standalone go-list loader,
+// lives in internal/analysis/driver; the multichecker binary is
+// cmd/eblocksvet.
 //
 // Two comment directives tune the suite in source:
 //

@@ -2,7 +2,5 @@
 // without depending on golang.org/x/tools: a standalone loader shells
 // out to `go list -deps -export -json` and resolves imports through
 // the compiler's export data (the same files cmd/go feeds to vet
-// tools), and a unitchecker-protocol entry point lets cmd/eblocksvet
-// run under `go vet -vettool=` where cmd/go hands it the package
-// configuration directly.
+// tools).
 package driver

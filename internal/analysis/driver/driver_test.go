@@ -2,7 +2,6 @@ package driver_test
 
 import (
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -117,42 +116,14 @@ func TestRunCleanModule(t *testing.T) {
 	}
 }
 
-// TestVetTool drives the full go vet -vettool integration: build
-// cmd/eblocksvet, point go vet at it inside the injected-violation
-// module, and check cmd/go relays the suite's findings and exit
-// status.
-func TestVetTool(t *testing.T) {
-	out, err := exec.Command("go", "env", "GOMOD").Output()
-	if err != nil {
-		t.Fatalf("go env GOMOD: %v", err)
+// TestLoadBadPattern covers the loader's go list error path.
+func TestLoadBadPattern(t *testing.T) {
+	dir := writeModule(t, scratchClean)
+	if _, err := driver.Load(driver.Options{Dir: dir, Patterns: []string{"./no/such/dir"}}); err == nil {
+		t.Fatal("Load accepted a nonexistent package pattern")
 	}
-	root := filepath.Dir(strings.TrimSpace(string(out)))
-
-	bin := filepath.Join(t.TempDir(), "eblocksvet")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/eblocksvet")
-	build.Dir = root
-	if bout, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building eblocksvet: %v\n%s", err, bout)
-	}
-
-	dir := writeModule(t, scratchBad)
-	vet := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	vet.Dir = dir
-	vout, err := vet.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool succeeded on the injected-violation module; output:\n%s", vout)
-	}
-	for _, marker := range []string{"[lockheld]", "[wireversion]", "[ctxflow]", "[determinism]", "[metricname]", "[exporteddoc]"} {
-		if !strings.Contains(string(vout), marker) {
-			t.Errorf("go vet output is missing a %s finding:\n%s", marker, vout)
-		}
-	}
-
-	clean := writeModule(t, scratchClean)
-	vet = exec.Command("go", "vet", "-vettool="+bin, "./...")
-	vet.Dir = clean
-	if vout, err := vet.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool failed on the clean module: %v\n%s", err, vout)
+	if _, err := driver.Run(driver.Options{Dir: dir, Patterns: []string{"./no/such/dir"}}, analysis.All()); err == nil {
+		t.Fatal("Run accepted a nonexistent package pattern")
 	}
 }
 

@@ -16,13 +16,6 @@ package behavior
 // guard anyway by never deleting subexpressions containing calls with
 // effects).
 
-// OptimizeProgram returns an optimized deep copy of the program.
-func OptimizeProgram(p *Program) *Program {
-	c := p.Clone()
-	c.Run = OptimizeStmt(c.Run).(*BlockStmt)
-	return c
-}
-
 // OptimizeStmt simplifies a statement tree (operating on, and
 // returning, fresh nodes).
 func OptimizeStmt(s Stmt) Stmt {

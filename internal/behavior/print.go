@@ -124,7 +124,3 @@ func writeExpr(b *strings.Builder, e Expr, nested bool) {
 // source positions. Used by tests (e.g. clone independence, rewrite
 // idempotence on identity substitutions).
 func Equal(a, b Stmt) bool { return FormatStmt(a) == FormatStmt(b) }
-
-// EqualExpr reports structural equality of two expressions, ignoring
-// source positions.
-func EqualExpr(a, b Expr) bool { return FormatExpr(a) == FormatExpr(b) }

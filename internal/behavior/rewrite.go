@@ -207,59 +207,6 @@ func rewriteCall(e *CallExpr, sub *Subst) (Expr, error) {
 	}
 }
 
-// Identifiers returns every identifier name referenced in the statement
-// tree (reads, writes, and edge-builtin arguments), without duplicates,
-// in first-seen order. The `timer` builtin identifier is included when
-// referenced.
-func Identifiers(s Stmt) []string {
-	seen := map[string]bool{}
-	var order []string
-	add := func(n string) {
-		if !seen[n] {
-			seen[n] = true
-			order = append(order, n)
-		}
-	}
-	var walkStmt func(Stmt)
-	var walkExpr func(Expr)
-	walkExpr = func(e Expr) {
-		switch e := e.(type) {
-		case *Ident:
-			add(e.Name)
-		case *UnaryExpr:
-			walkExpr(e.X)
-		case *BinaryExpr:
-			walkExpr(e.X)
-			walkExpr(e.Y)
-		case *CallExpr:
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		}
-	}
-	walkStmt = func(s Stmt) {
-		switch s := s.(type) {
-		case *BlockStmt:
-			for _, t := range s.Stmts {
-				walkStmt(t)
-			}
-		case *AssignStmt:
-			add(s.Name)
-			walkExpr(s.X)
-		case *IfStmt:
-			walkExpr(s.Cond)
-			walkStmt(s.Then)
-			if s.Else != nil {
-				walkStmt(s.Else)
-			}
-		case *ExprStmt:
-			walkExpr(s.X)
-		}
-	}
-	walkStmt(s)
-	return order
-}
-
 // EdgeArgs returns the input names that appear as arguments of the
 // edge-detection builtins (rising, falling, changed, prev) anywhere in
 // the statement tree, without duplicates, in first-seen order. The code
@@ -310,53 +257,4 @@ func EdgeArgs(s Stmt) []string {
 	}
 	walkStmt(s)
 	return order
-}
-
-// UsesTimers reports whether the statement tree calls schedule /
-// scheduletag or reads the timer flag, i.e. whether the block needs the
-// runtime's timer facility.
-func UsesTimers(s Stmt) bool {
-	found := false
-	var walkStmt func(Stmt)
-	var walkExpr func(Expr)
-	walkExpr = func(e Expr) {
-		switch e := e.(type) {
-		case *Ident:
-			if e.Name == TimerIdent {
-				found = true
-			}
-		case *UnaryExpr:
-			walkExpr(e.X)
-		case *BinaryExpr:
-			walkExpr(e.X)
-			walkExpr(e.Y)
-		case *CallExpr:
-			if e.Fun == "schedule" || e.Fun == "scheduletag" || e.Fun == "timertag" {
-				found = true
-			}
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		}
-	}
-	walkStmt = func(s Stmt) {
-		switch s := s.(type) {
-		case *BlockStmt:
-			for _, t := range s.Stmts {
-				walkStmt(t)
-			}
-		case *AssignStmt:
-			walkExpr(s.X)
-		case *IfStmt:
-			walkExpr(s.Cond)
-			walkStmt(s.Then)
-			if s.Else != nil {
-				walkStmt(s.Else)
-			}
-		case *ExprStmt:
-			walkExpr(s.X)
-		}
-	}
-	walkStmt(s)
-	return found
 }

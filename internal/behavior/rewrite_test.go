@@ -111,35 +111,6 @@ func TestRewriteTimerTagging(t *testing.T) {
 	}
 }
 
-func TestIdentifiers(t *testing.T) {
-	p := MustParse("input a, b; output y; state s = 0; run { if (rising(a)) { s = s + b; } y = s; }")
-	ids := Identifiers(p.Run)
-	want := []string{"a", "s", "b", "y"}
-	if len(ids) != len(want) {
-		t.Fatalf("identifiers = %v, want %v", ids, want)
-	}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("identifiers = %v, want %v", ids, want)
-		}
-	}
-}
-
-func TestUsesTimers(t *testing.T) {
-	with := MustParse("input a; output y; run { if (rising(a)) { schedule(1); } y = timer; }")
-	without := MustParse("input a; output y; run { y = a; }")
-	if !UsesTimers(with.Run) {
-		t.Error("UsesTimers false for timer-using program")
-	}
-	if UsesTimers(without.Run) {
-		t.Error("UsesTimers true for pure program")
-	}
-	tagged := MustParse("output y; run { y = timertag(1); }")
-	if !UsesTimers(tagged.Run) {
-		t.Error("UsesTimers false for timertag program")
-	}
-}
-
 func containsStr(s, sub string) bool {
 	return len(s) >= len(sub) && index(s, sub) >= 0
 }

@@ -44,12 +44,6 @@ func LoadDesign(path, library string) (*netlist.Design, error) {
 	}
 }
 
-// LoadDesignText parses .ebk source against the standard catalog
-// (convenience for tests and embedding).
-func LoadDesignText(src string) (*netlist.Design, error) {
-	return netlist.Parse(src, block.Standard())
-}
-
 // SimulateOptions drive Simulate.
 type SimulateOptions struct {
 	Script string // stimulus script source ("" = none)
@@ -114,6 +108,23 @@ type SynthesizeResult struct {
 	DOT        string // partitioned original design, when requested
 }
 
+// NewSynthesizeResult renders a synthesis output as the files the
+// tools write: the synthesized design as .ebk text and every firmware
+// module concatenated, sorted by block name.
+func NewSynthesizeResult(out *synth.Output) *SynthesizeResult {
+	names := make([]string, 0, len(out.CSource))
+	for n := range out.CSource {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var c strings.Builder
+	for _, n := range names {
+		c.WriteString(out.CSource[n])
+		c.WriteByte('\n')
+	}
+	return &SynthesizeResult{Output: out, NetlistEBK: netlist.Serialize(out.Synthesized), CSource: c.String()}
+}
+
 // SynthesizeReport synthesizes a design, writes the summary (and
 // verification outcome) to w, and returns the artifacts.
 func SynthesizeReport(w io.Writer, d *netlist.Design, opts SynthesizeOptions) (*SynthesizeResult, error) {
@@ -126,18 +137,7 @@ func SynthesizeReport(w io.Writer, d *netlist.Design, opts SynthesizeOptions) (*
 		d.Name, before, out.InnerBlocksAfter(), len(out.Result.Partitions),
 		len(out.Result.Uncovered), out.Result.FitChecks)
 
-	res := &SynthesizeResult{
-		Output:     out,
-		NetlistEBK: netlist.Serialize(out.Synthesized),
-	}
-	var names []string
-	for n := range out.CSource {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		res.CSource += out.CSource[n] + "\n"
-	}
+	res := NewSynthesizeResult(out)
 	if opts.DOT {
 		res.DOT = netlist.DOT(d, out.Result.Partitions)
 	}

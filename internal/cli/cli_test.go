@@ -6,7 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/block"
+	"repro/internal/netlist"
 	"repro/internal/sim"
+	"repro/internal/synth"
 )
 
 const garageEBK = `design garage
@@ -61,7 +64,7 @@ func TestLoadDesignErrors(t *testing.T) {
 }
 
 func TestSimulateDriver(t *testing.T) {
-	d, err := LoadDesignText(garageEBK)
+	d, err := netlist.Parse(garageEBK, block.Standard())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +89,7 @@ func TestSimulateDriver(t *testing.T) {
 }
 
 func TestSimulateDriverHorizon(t *testing.T) {
-	d, err := LoadDesignText(garageEBK)
+	d, err := netlist.Parse(garageEBK, block.Standard())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +107,7 @@ func TestSimulateDriverHorizon(t *testing.T) {
 }
 
 func TestSimulateDriverBadScript(t *testing.T) {
-	d, _ := LoadDesignText(garageEBK)
+	d, _ := netlist.Parse(garageEBK, block.Standard())
 	var w strings.Builder
 	if err := Simulate(&w, d, SimulateOptions{Script: "bogus"}); err == nil {
 		t.Fatal("bad script accepted")
@@ -115,7 +118,7 @@ func TestSimulateDriverBadScript(t *testing.T) {
 }
 
 func TestSynthesizeReportDriver(t *testing.T) {
-	d, err := LoadDesignText(garageEBK)
+	d, err := netlist.Parse(garageEBK, block.Standard())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +143,7 @@ func TestSynthesizeReportDriver(t *testing.T) {
 		t.Fatal("dot missing partition cluster")
 	}
 	// The synthesized netlist reloads and re-simulates.
-	d2, err := LoadDesignText(res.NetlistEBK)
+	d2, err := netlist.Parse(res.NetlistEBK, block.Standard())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +156,28 @@ func TestSynthesizeReportDriver(t *testing.T) {
 	}
 }
 
+// TestNewSynthesizeResultOrdersFirmware pins the C bundle both
+// eblocksynth modes write: every module, newline-terminated, in
+// lexical order of block name.
+func TestNewSynthesizeResultOrdersFirmware(t *testing.T) {
+	d, err := netlist.Parse(garageEBK, block.Standard())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := NewSynthesizeResult(&synth.Output{
+		Synthesized: d,
+		CSource:     map[string]string{"p1": "/* p1 */", "p10": "/* p10 */", "p0": "/* p0 */"},
+	})
+	if want := "/* p0 */\n/* p1 */\n/* p10 */\n"; res.CSource != want {
+		t.Errorf("C bundle = %q, want %q", res.CSource, want)
+	}
+	if res.NetlistEBK != netlist.Serialize(d) {
+		t.Errorf("netlist = %q, want the design's .ebk text", res.NetlistEBK)
+	}
+}
+
 func TestDescribeDesign(t *testing.T) {
-	d, err := LoadDesignText(garageEBK)
+	d, err := netlist.Parse(garageEBK, block.Standard())
 	if err != nil {
 		t.Fatal(err)
 	}

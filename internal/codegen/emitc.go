@@ -2,7 +2,6 @@ package codegen
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/behavior"
@@ -197,22 +196,4 @@ func (e *cEmitter) call(c *behavior.CallExpr) string {
 	default:
 		return fmt.Sprintf("/* unknown builtin %s */0", c.Fun)
 	}
-}
-
-// EmitCForDesignBlocks renders one C module per named program, sorted
-// by name, concatenated with separators; convenience for the CLI.
-func EmitCForDesignBlocks(progs map[string]*behavior.Program) string {
-	names := make([]string, 0, len(progs))
-	for n := range progs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for i, n := range names {
-		if i > 0 {
-			b.WriteString("\n/* ------------------------------------------------------------ */\n\n")
-		}
-		b.WriteString(EmitC(progs[n], n))
-	}
-	return b.String()
 }

@@ -334,12 +334,3 @@ func TestEmitCTimersAndEdges(t *testing.T) {
 		}
 	}
 }
-
-func TestEmitCForDesignBlocks(t *testing.T) {
-	p1 := behavior.MustParse("input a; output y; run { y = a; }")
-	p2 := behavior.MustParse("input a; output y; run { y = !a; }")
-	out := EmitCForDesignBlocks(map[string]*behavior.Program{"zz": p2, "aa": p1})
-	if strings.Index(out, "aa_step") > strings.Index(out, "zz_step") {
-		t.Fatal("modules not sorted by name")
-	}
-}

@@ -525,7 +525,7 @@ func (s *exSearcher) closeGroup() {
 // the searcher.
 func (s *exSearcher) search(i int) error {
 	s.visited++
-	if s.opts.Ctx != nil && s.visited%4096 == 0 {
+	if s.opts.Ctx != nil && s.visited%1024 == 0 {
 		select {
 		case <-s.opts.Ctx.Done():
 			return s.opts.Ctx.Err()

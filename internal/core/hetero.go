@@ -145,14 +145,10 @@ func PareDownHetero(g *graph.Graph, p HeteroProblem, opts PareDownOptions) (*Het
 	return res, nil
 }
 
-// cheapestFit returns the cheapest block choice whose budget the
-// candidate satisfies; deterministic under cost ties (name order).
-func cheapestFit(g *graph.Graph, set graph.NodeSet, p HeteroProblem) (BlockChoice, bool) {
-	return cheapestFitIO(g, PartitionIO(g, set), set, p)
-}
-
-// cheapestFitIO is cheapestFit with the candidate's I/O demand already
-// known (e.g. maintained incrementally by an Evaluator).
+// cheapestFitIO returns the cheapest block choice whose budget the
+// candidate satisfies, given its I/O demand io (maintained
+// incrementally by an Evaluator); deterministic under cost ties (name
+// order).
 func cheapestFitIO(g *graph.Graph, io IO, set graph.NodeSet, p HeteroProblem) (BlockChoice, bool) {
 	if p.RequireConvex && !g.IsConvex(set) {
 		return BlockChoice{}, false

@@ -290,15 +290,3 @@ func (h *SubHasher) Fingerprint(part graph.NodeSet) (string, error) {
 	sum := sha256.Sum256(buf)
 	return hex.EncodeToString(sum[:]), nil
 }
-
-// SubFingerprint is the one-shot convenience over NewSubHasher +
-// Fingerprint: the canonical content hash of the subgraph of d induced
-// by nodes. Callers fingerprinting several subgraphs of one design
-// should construct a SubHasher once instead.
-func SubFingerprint(d *Design, nodes graph.NodeSet) (string, error) {
-	h, err := NewSubHasher(d)
-	if err != nil {
-		return "", err
-	}
-	return h.Fingerprint(nodes)
-}

@@ -106,11 +106,19 @@ func TestStructuralFingerprintOrderIndependent(t *testing.T) {
 func TestSubFingerprintSeesParamsAndBoundary(t *testing.T) {
 	a := pulsePair("", 1000)
 	b := pulsePair("", 2000)
-	fpA, err := netlist.SubFingerprint(a, innerSet(a))
+	hA, err := netlist.NewSubHasher(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fpB, err := netlist.SubFingerprint(b, innerSet(b))
+	fpA, err := hA.Fingerprint(innerSet(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hB, err := netlist.NewSubHasher(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fpB, err := hB.Fingerprint(innerSet(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +141,11 @@ func TestSubFingerprintSeesParamsAndBoundary(t *testing.T) {
 	c.MustConnect("s", "y", "pg", "a")
 	c.MustConnect("pg", "y", "led", "a")
 	c.MustConnect("pg", "y", "led2", "a")
-	fpC, err := netlist.SubFingerprint(c, innerSet(c))
+	hC, err := netlist.NewSubHasher(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fpC, err := hC.Fingerprint(innerSet(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +165,19 @@ func TestSubFingerprintRenameInvariant(t *testing.T) {
 	// Same-order renaming: "pg" -> "xpg" keeps single-member order.
 	a := pulsePair("", 1000)
 	b := pulsePair("x", 1000)
-	fpA, err := netlist.SubFingerprint(a, innerSet(a))
+	hA, err := netlist.NewSubHasher(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fpB, err := netlist.SubFingerprint(b, innerSet(b))
+	fpA, err := hA.Fingerprint(innerSet(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hB, err := netlist.NewSubHasher(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fpB, err := hB.Fingerprint(innerSet(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +190,12 @@ func TestSubFingerprintRejectsBadMembers(t *testing.T) {
 	d := pulsePair("", 1000)
 	ns := graph.NewNodeSet()
 	ns.Add(d.Sensors()[0]) // sensors have no programs and cannot merge
-	if _, err := netlist.SubFingerprint(d, ns); err == nil {
-		t.Error("sensor member accepted by SubFingerprint")
+	h, err := netlist.NewSubHasher(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Fingerprint(ns); err == nil {
+		t.Error("sensor member accepted by Fingerprint")
 	}
 }
 

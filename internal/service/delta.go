@@ -12,57 +12,6 @@ import (
 	"repro/internal/synth"
 )
 
-// stageInfeasible names the negative cache: a marker persisted under
-// the full stage key of a request whose pipeline failed with the typed
-// infeasibility error (synth.ErrUnrealizable). Infeasibility is a
-// deterministic function of the same inputs the stage key hashes, so a
-// marker is as trustworthy as a cached response — later identical
-// requests fail immediately instead of re-running a pipeline known to
-// fail. Only the typed error is cached; incidental failures (context
-// cancellation, store corruption) never leave a marker.
-const stageInfeasible = "infeasible.v1"
-
-// infeasibleMarker is the persisted payload. The version field guards
-// the schema like every other stage payload; the message is carried
-// for operators inspecting the store, not trusted on the way back out
-// (hits return the canonical synth.ErrUnrealizable).
-//
-//eblocks:wire infeasible.v1 f6bfe37e
-type infeasibleMarker struct {
-	V     int    `json:"v"`
-	Error string `json:"error"`
-}
-
-// infeasibleHit reports whether the negative cache has a marker for
-// this stage key.
-func (s *Service) infeasibleHit(sk synth.StageKey) bool {
-	raw, _, ok := s.store.Get(storeKey(sk, stageInfeasible))
-	if !ok {
-		return false
-	}
-	var m infeasibleMarker
-	return json.Unmarshal(raw, &m) == nil && m.V == 1
-}
-
-// markInfeasible records a typed infeasibility outcome in the negative
-// cache. Callers gate on errors.Is(err, synth.ErrUnrealizable).
-func (s *Service) markInfeasible(sk synth.StageKey, err error) {
-	raw, merr := json.Marshal(infeasibleMarker{V: 1, Error: err.Error()})
-	if merr == nil {
-		s.store.Put(storeKey(sk, stageInfeasible), raw)
-	}
-}
-
-// noteInfeasible records a marker when err is the typed infeasibility
-// error and passes err through either way, so pipeline call sites can
-// wrap their error return in one expression.
-func (s *Service) noteInfeasible(sk synth.StageKey, err error) error {
-	if errors.Is(err, synth.ErrUnrealizable) {
-		s.markInfeasible(sk, err)
-	}
-	return err
-}
-
 // Delta synthesizes an edited variant of a base design incrementally:
 // the edit list is applied to the base (synth.CaptureDelta), and the
 // edited capture runs Synthesize's flight, so every stage artifact the

@@ -349,72 +349,102 @@ func TestDeltaHTTPErrors(t *testing.T) {
 }
 
 // TestInfeasibleNegativeCache runs a paper-mode job whose partitioning
-// is unrealizable (contracted graph cyclic): the first failure
-// persists a marker, identical requests — synthesis and delta, before
-// and after a restart — fail immediately from the negative cache.
+// is unrealizable (contracted graph cyclic). The failed run stores its
+// partitioned artifact and nothing else, and that artifact answers
+// every identical request — synthesis and delta, before and after a
+// restart: each repeat fails from the stored partitioning (one lookup
+// misses the response, one hits the partitioned artifact) without
+// writing to the store. Over HTTP every failure is the same 422 body.
 func TestInfeasibleNegativeCache(t *testing.T) {
 	// randgen(8, seed 3) under paredown + paper mode contracts to a
 	// cyclic block graph.
 	build := func() Request {
 		return Request{Design: randgen.MustGenerate(randgen.Params{InnerBlocks: 8, Seed: 3}), PaperMode: true}
 	}
+	ctx := context.Background()
+	// fails runs one request that must fail with ErrUnrealizable.
+	fails := func(what string, run func() error) {
+		t.Helper()
+		if err := run(); !errors.Is(err, synth.ErrUnrealizable) {
+			t.Fatalf("%s: %v, want ErrUnrealizable", what, err)
+		}
+	}
+	// onlyPartitioned checks the first failure stored the partitioned
+	// artifact and nothing else, so any later hit is that artifact.
+	onlyPartitioned := func(what string, st *store.Store) {
+		t.Helper()
+		stages := st.Stats().Stages
+		if len(stages) != 1 || stages[synth.StagePartitioned].Entries != 1 {
+			t.Errorf("%s stored %v, want one %s entry only", what, stages, synth.StagePartitioned)
+		}
+	}
+	// repeat runs an identical request and checks it failed from the
+	// stored partitioning, served by the given tier.
+	repeat := func(what string, st *store.Store, tier func(store.Stats) uint64, run func() error) {
+		t.Helper()
+		before := st.Stats()
+		fails(what, run)
+		after := st.Stats()
+		if n := after.Puts - before.Puts; n != 0 {
+			t.Errorf("%s wrote %d store entries, want 0", what, n)
+		}
+		if n := after.Misses - before.Misses; n != 1 {
+			t.Errorf("%s missed %d lookups, want 1 (the response)", what, n)
+		}
+		if n := tier(after) - tier(before); n != 1 {
+			t.Errorf("%s hit the expected tier %d times, want 1 (the partitioned artifact)", what, n)
+		}
+	}
+	memory := func(st store.Stats) uint64 { return st.MemoryHits }
+	disk := func(st store.Stats) uint64 { return st.DiskHits }
+	synthesize := func(svc *Service) func() error {
+		return func() error { _, _, err := svc.Synthesize(ctx, build()); return err }
+	}
+
 	dir := t.TempDir()
 	st1 := openStore(t, dir)
 	svc1 := New(Config{Store: st1})
-	ctx := context.Background()
-
-	if _, _, err := svc1.Synthesize(ctx, build()); !errors.Is(err, synth.ErrUnrealizable) {
-		t.Fatalf("first synthesis: %v, want ErrUnrealizable", err)
-	}
-	if st := svc1.Stats(); st.InfeasibleHits != 0 {
-		t.Errorf("first failure counted %d infeasible hits, want 0", st.InfeasibleHits)
-	}
-	if _, _, err := svc1.Synthesize(ctx, build()); !errors.Is(err, synth.ErrUnrealizable) {
-		t.Fatalf("second synthesis: %v, want ErrUnrealizable", err)
-	}
-	if st := svc1.Stats(); st.InfeasibleHits != 1 {
-		t.Errorf("repeated failure counted %d infeasible hits, want 1", st.InfeasibleHits)
-	}
-
+	fails("first synthesis", synthesize(svc1))
+	onlyPartitioned("first synthesis", st1)
+	repeat("second synthesis", st1, memory, synthesize(svc1))
 	st1.Close()
 
-	// The delta path populates and hits the same marker: against a
-	// fresh store, the first delta runs the pipeline and fails (a
-	// non-structural edit carries the cyclic partitioning over), the
-	// second fails fast from the marker the first left.
+	// The delta path fails the same way: against a fresh store, the
+	// first delta runs the pipeline (a non-structural edit carries the
+	// cyclic partitioning over), the second fails from its artifact.
 	stD := openStore(t, t.TempDir())
 	defer stD.Close()
 	svcD := New(Config{Store: stD})
-	req := build()
-	edits := paramTweak(t, req.Design, 1)
-	if _, _, _, err := svcD.Delta(ctx, req, edits); !errors.Is(err, synth.ErrUnrealizable) {
-		t.Fatalf("first delta: %v, want ErrUnrealizable", err)
-	}
-	if st := svcD.Stats(); st.InfeasibleHits != 0 {
-		t.Errorf("first delta counted %d infeasible hits, want 0", st.InfeasibleHits)
-	}
-	if _, _, _, err := svcD.Delta(ctx, build(), edits); !errors.Is(err, synth.ErrUnrealizable) {
-		t.Fatalf("second delta: %v, want ErrUnrealizable", err)
-	}
-	if st := svcD.Stats(); st.InfeasibleHits != 1 {
-		t.Errorf("after repeated delta: %d infeasible hits, want 1", st.InfeasibleHits)
-	}
+	edits := paramTweak(t, build().Design, 1)
+	delta := func() error { _, _, _, err := svcD.Delta(ctx, build(), edits); return err }
+	fails("first delta", delta)
+	onlyPartitioned("first delta", stD)
+	repeat("second delta", stD, memory, delta)
 
-	// The marker is persisted: a fresh process fails fast too.
+	// The artifact is persisted: a fresh process fails from disk.
 	st2 := openStore(t, dir)
 	defer st2.Close()
-	svc2 := New(Config{Store: st2})
-	if _, _, err := svc2.Synthesize(ctx, build()); !errors.Is(err, synth.ErrUnrealizable) {
-		t.Fatalf("post-restart synthesis: %v, want ErrUnrealizable", err)
+	repeat("post-restart synthesis", st2, disk, synthesize(New(Config{Store: st2})))
+
+	// Over HTTP the first and the repeated failure carry one body.
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	raw, err := netlist.MarshalJSON(build().Design)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st := svc2.Stats(); st.InfeasibleHits != 1 {
-		t.Errorf("post-restart: %d infeasible hits, want 1", st.InfeasibleHits)
+	const want = `{"error":"synth: partitioning is not realizable as an acyclic network (re-run without PaperMode)"}` + "\n"
+	for _, what := range []string{"first", "repeated"} {
+		resp, body := postJSON(t, ts.URL+"/v1/synthesize", JSONRequest{Design: raw, PaperMode: true})
+		if resp.StatusCode != http.StatusUnprocessableEntity || string(body) != want {
+			t.Errorf("%s HTTP failure: status %d body %q, want 422 %q", what, resp.StatusCode, body, want)
+		}
 	}
 }
 
 // TestMetricsExportDeltaSeries checks /metrics carries the tuning
-// series this PR adds: delta request and partition outcome counters,
-// the negative-cache counter, and per-stage store occupancy.
+// series of incremental synthesis: delta request and partition outcome
+// counters, and per-stage store occupancy.
 func TestMetricsExportDeltaSeries(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	defer st.Close()
@@ -449,7 +479,6 @@ func TestMetricsExportDeltaSeries(t *testing.T) {
 		"eblocksd_delta_requests_total 1",
 		`eblocksd_partitions_total{outcome="adopted"}`,
 		`eblocksd_partitions_total{outcome="recomputed"}`,
-		"eblocksd_infeasible_hits_total 0",
 		`eblocksd_store_stage_entries{stage="partition.v1"}`,
 		`eblocksd_store_stage_entries{stage="partitioned.v3"}`,
 		`eblocksd_store_stage_entries{stage="response.v1"}`,

@@ -25,7 +25,6 @@ func goldenStats() Stats {
 		DeltaRequests:        33,
 		PartitionsAdopted:    812,
 		PartitionsRecomputed: 96,
-		InfeasibleHits:       7,
 		CacheHits:            690,
 		MemoryHits:           600,
 		DiskHits:             80,

@@ -53,13 +53,6 @@ func (m *metrics) observePartitions(adopted, recomputed int) {
 	m.mu.Unlock()
 }
 
-// observeInfeasibleHit counts a negative-cache hit.
-func (m *metrics) observeInfeasibleHit() {
-	m.mu.Lock()
-	m.st.InfeasibleHits++
-	m.mu.Unlock()
-}
-
 func (m *metrics) observe(d time.Duration, outcome outcome) {
 	m.observeClass(d, outcome, classSynth)
 }
@@ -137,10 +130,6 @@ type Stats struct {
 	// share of merge work the stage cache absorbed.
 	PartitionsAdopted    uint64 `json:"partitionsAdopted"`
 	PartitionsRecomputed uint64 `json:"partitionsRecomputed"`
-	// InfeasibleHits counts requests answered from the negative cache
-	// (a persisted typed infeasibility outcome) without re-running the
-	// pipeline.
-	InfeasibleHits uint64 `json:"infeasibleHits"`
 	// CacheHits totals hits across every tier (MemoryHits + DiskHits +
 	// RemoteHits); kept for clients of the pre-store schema.
 	CacheHits uint64 `json:"cacheHits"`

@@ -20,7 +20,6 @@ func promText(st Stats) string {
 	w.Counter("eblocksd_partitions_total", "Per-partition merge outcomes across delta and cached synthesis: adopted from the stage cache vs. recomputed in-process.",
 		obs.Labeled("outcome", "adopted", st.PartitionsAdopted),
 		obs.Labeled("outcome", "recomputed", st.PartitionsRecomputed))
-	w.Counter("eblocksd_infeasible_hits_total", "Requests answered from the negative cache (persisted typed infeasibility) without running the pipeline.", obs.Value(st.InfeasibleHits))
 
 	w.Counter("eblocksd_cache_hits_total", "Requests served from a cache tier, by the tier that answered.",
 		obs.Labeled("tier", "memory", st.MemoryHits),

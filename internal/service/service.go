@@ -353,26 +353,22 @@ func (s *Service) Synthesize(ctx context.Context, req Request) (*Response, Sourc
 // requests through either route run the pipeline once. The flight
 // serves a response cached by this process, persisted by an earlier
 // one or written by another instance of the fleet (the store's remote
-// tier); fails fast on a negative-cache marker; and otherwise runs the
-// cached pipeline tail — adopting and populating the partitioned and
-// per-partition merge artifacts — and saves the response. The bool
-// reports whether this call joined another's flight.
+// tier), and otherwise runs the cached pipeline tail — adopting and
+// populating the partitioned and per-partition merge artifacts — and
+// saves the response. A job whose paper-mode partitioning is not
+// realizable fails in the merge stage's check of that partitioning,
+// so a repeat fails from the stored partitioned artifact without
+// running the partitioner again. The bool reports whether this call
+// joined another's flight.
 func (s *Service) synthesize(ctx context.Context, ca *synth.Captured) (synthOutcome, bool, error) {
 	sk := ca.StageKey()
 	return s.synthGroup.Do(ctx, sk.String(), func(ctx context.Context) (synthOutcome, error) {
 		if r, tier, ok := s.loadResponse(sk); ok {
 			return synthOutcome{resp: r, tier: tier}, nil
 		}
-		// Negative cache: a marker from an earlier identical request that
-		// failed with the typed infeasibility error short-circuits the
-		// pipeline (infeasibility is as deterministic as success).
-		if s.infeasibleHit(sk) {
-			s.stats.observeInfeasibleHit()
-			return synthOutcome{}, synth.ErrUnrealizable
-		}
 		em, ds, err := synth.SynthesizeCaptured(ctx, ca, &stages{store: s.store})
 		if err != nil {
-			return synthOutcome{}, s.noteInfeasible(sk, err)
+			return synthOutcome{}, err
 		}
 		s.stats.observePartitions(ds.Adopted, ds.Recomputed)
 		r, err := NewResponse(em.Output(), ca)

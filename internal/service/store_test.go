@@ -179,6 +179,63 @@ func TestPartitionStageReuse(t *testing.T) {
 	}
 }
 
+// TestStageLookupsPerRequest counts store lookups — one per Get,
+// whichever tier answers — on a fresh disk store. A synthesize, delta
+// or verify miss reads its response or verified key, the partitioned
+// key and one merge key per partition (2 + k for k partitions), each
+// exactly once; a verify hit reads the verified and partitioned keys.
+func TestStageLookupsPerRequest(t *testing.T) {
+	ctx := context.Background()
+	lookups := func(st *store.Store) uint64 {
+		s := st.Stats()
+		return s.MemoryHits + s.DiskHits + s.RemoteHits + s.Misses
+	}
+	for _, tc := range []struct {
+		design string
+		k      int
+	}{{"Podium Timer 3", 2}, {"Timed Passage", 5}} {
+		t.Run(tc.design, func(t *testing.T) {
+			d := designs.Lookup(tc.design).Build()
+			fresh := func() (*Service, *store.Store) {
+				st := openStore(t, t.TempDir())
+				t.Cleanup(func() { st.Close() })
+				return New(Config{Store: st}), st
+			}
+			check := func(what string, st *store.Store, want int, run func() error) {
+				t.Helper()
+				before := lookups(st)
+				if err := run(); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if n := lookups(st) - before; n != uint64(want) {
+					t.Errorf("%s read %d store keys, want %d", what, n, want)
+				}
+			}
+
+			svc, st := fresh()
+			check("synthesize miss", st, 2+tc.k, func() error {
+				resp, _, err := svc.Synthesize(ctx, Request{Design: d})
+				if err == nil && len(resp.Partitions) != tc.k {
+					t.Fatalf("%d partitions, want %d", len(resp.Partitions), tc.k)
+				}
+				return err
+			})
+
+			svc, st = fresh()
+			check("delta miss", st, 2+tc.k, func() error {
+				_, _, _, err := svc.Delta(ctx, Request{Design: d}, paramTweak(t, d, 1))
+				return err
+			})
+
+			svc, st = fresh()
+			job := VerifyJob{Request: Request{Design: d}, Steps: 8}
+			verify := func() error { _, _, err := svc.Verify(ctx, job); return err }
+			check("verify miss", st, 2+tc.k, verify)
+			check("verify hit", st, 2, verify)
+		})
+	}
+}
+
 // TestStoreKeySeparatesStages guards the store key layout: the same
 // job's partition artifact, per-partition merge artifacts, and
 // response artifact are distinct entries.

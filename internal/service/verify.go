@@ -104,7 +104,7 @@ func (s *Service) Verify(ctx context.Context, job VerifyJob) (*VerifyResponse, S
 		if err != nil {
 			return tiered[*VerifyResponse]{}, err
 		}
-		v, _, err := em.VerifyCached(cache, opts)
+		v, err := em.VerifyCached(cache, opts)
 		if err != nil {
 			return tiered[*VerifyResponse]{}, err
 		}

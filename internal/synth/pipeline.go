@@ -7,11 +7,15 @@
 //	Partition : *Captured                  -> *Partitioned  (Captured.PartitionCached)
 //	Merge     : *Partitioned               -> *Merged       (Partitioned.MergeCached)
 //	Emit      : *Merged                    -> *Emitted      (Merged.Emit)
-//	Verify    : *Emitted                   -> *Verified     (Emitted.VerifyCached)
+//	Verify    : *Emitted                   -> *Verified     (Emitted.VerifyCached: writes only)
 //
-// Each stage has one implementation. The stages that can adopt stored
-// artifacts take a StageCache; a nil cache reads and writes nothing,
-// so the uncached pipeline runs the same code. SynthesizeCaptured is
+// Each stage has one implementation. The stages that read or write
+// stored artifacts take a StageCache; a nil cache reads and writes
+// nothing, so the uncached pipeline runs the same code. Partition and
+// Merge read and then write their artifact. Verify is the exception:
+// Emitted.VerifyCached never reads the cache, because its one read,
+// Captured.LookupVerified, needs only the capture and so comes before
+// the partition, merge and emit stages it can skip. SynthesizeCaptured is
 // the one partition → merge → emit tail: Run, Synthesize, incremental
 // synthesis (CaptureDelta) and the service all go through it.
 //

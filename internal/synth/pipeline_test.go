@@ -92,7 +92,7 @@ func TestPipelineVerifyStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _, err := em.VerifyCached(nil, synth.VerifyOptions{Steps: 30})
+	v, err := em.VerifyCached(nil, synth.VerifyOptions{Steps: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

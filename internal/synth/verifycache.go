@@ -76,11 +76,13 @@ func decodeVerified(raw []byte) (stimuli int, mm []Mismatch, err error) {
 	return w.Stimuli, w.Mismatches, nil
 }
 
-// LookupVerified consults the cache for a verification outcome without
-// requiring the emitted artifact: the fast path for servers, which can
-// answer a repeated verification from the capture stage alone —
-// skipping merge, emit, and both simulations. The returned stimulus
-// count echoes the schedule length recorded with the artifact.
+// LookupVerified is the Verified stage's read: it consults the cache
+// for a verification outcome without requiring the emitted artifact,
+// so a server can answer a repeated verification from the capture
+// stage alone — skipping merge, emit, and both simulations. The
+// returned stimulus count echoes the schedule length recorded with the
+// artifact. A nil cache, a miss, or an undecodable entry all report
+// !ok.
 func (ca *Captured) LookupVerified(cache StageCache, opts VerifyOptions) (stimuli int, mm []Mismatch, ok bool) {
 	if cache == nil {
 		return 0, nil, false
@@ -97,28 +99,23 @@ func (ca *Captured) LookupVerified(cache StageCache, opts VerifyOptions) (stimul
 	return stimuli, mm, true
 }
 
-// VerifyCached replays shared stimuli on the original and synthesized
-// designs and records output mismatches, with stage-level
-// memoization: on a cache hit the recorded mismatch list is adopted
-// without simulating either design; on a miss the verification runs
-// and its outcome is stored under StageVerified. A nil cache, a miss,
-// or an undecodable entry all fall back to verifying; the returned
-// bool reports whether the outcome came from the cache. Only
-// completed verifications are cached — errors (cancellation,
-// event-budget exhaustion) never are.
-func (e *Emitted) VerifyCached(cache StageCache, opts VerifyOptions) (*Verified, bool, error) {
+// VerifyCached is the Verified stage's write: it replays shared
+// stimuli on the original and synthesized designs, records output
+// mismatches, and stores the outcome under StageVerified (nothing
+// when the cache is nil). It does not read the cache — callers that
+// can be answered by a stored outcome ask Captured.LookupVerified
+// first. Only completed verifications are stored — errors
+// (cancellation, event-budget exhaustion) never are.
+func (e *Emitted) VerifyCached(cache StageCache, opts VerifyOptions) (*Verified, error) {
 	opts = opts.Resolved(e.Design)
-	if _, mm, ok := e.LookupVerified(cache, opts); ok {
-		return &Verified{Emitted: e, Mismatches: mm}, true, nil
-	}
 	mm, err := Verify(e.Design, e.Synthesized, opts)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if cache != nil {
 		if raw, err := encodeVerified(len(opts.Stimuli), mm); err == nil {
 			cache.PutStage(StageVerified, e.VerifyStageKey(opts), raw)
 		}
 	}
-	return &Verified{Emitted: e, Mismatches: mm}, false, nil
+	return &Verified{Emitted: e, Mismatches: mm}, nil
 }
