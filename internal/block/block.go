@@ -52,18 +52,6 @@ func (k Kind) String() string {
 	}
 }
 
-// IsCompute reports whether blocks of this kind are inner nodes for the
-// partitioning problem (compute and communication blocks are; sensors
-// and outputs are not).
-func (k Kind) IsCompute() bool {
-	switch k {
-	case Combinational, Sequential, Communication, Programmable:
-		return true
-	default:
-		return false
-	}
-}
-
 // Type describes one catalog entry. Types are immutable after
 // registration; instances (netlist nodes) reference a Type by name and
 // may override parameter values.

@@ -173,14 +173,6 @@ func TestProgrammableType(t *testing.T) {
 }
 
 func TestKindPredicates(t *testing.T) {
-	if Sensor.IsCompute() || Output.IsCompute() {
-		t.Error("sensor/output classified as compute")
-	}
-	for _, k := range []Kind{Combinational, Sequential, Communication, Programmable} {
-		if !k.IsCompute() {
-			t.Errorf("%v not classified as compute", k)
-		}
-	}
 	if Sensor.String() != "sensor" || Programmable.String() != "programmable" {
 		t.Error("kind strings wrong")
 	}

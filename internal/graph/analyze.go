@@ -54,19 +54,6 @@ func (g *Graph) FanoutHistogram() map[int]int {
 	return h
 }
 
-// LevelHistogram returns counts of nodes per level.
-func (g *Graph) LevelHistogram() (map[int]int, error) {
-	lvl, err := g.Levels()
-	if err != nil {
-		return nil, err
-	}
-	h := map[int]int{}
-	for _, l := range lvl {
-		h[l]++
-	}
-	return h, nil
-}
-
 // SortedKeys returns the keys of an int-keyed histogram in ascending
 // order (rendering helper).
 func SortedKeys(h map[int]int) []int {

@@ -41,23 +41,8 @@ func TestFanoutHistogram(t *testing.T) {
 	if h[2] != 1 || h[0] != 1 || h[1] != 4 {
 		t.Fatalf("histogram = %v", h)
 	}
-}
-
-func TestLevelHistogram(t *testing.T) {
-	g, _ := diamond(t)
-	h, err := g.LevelHistogram()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Levels: s=0, a=1, b=c=2, d=3, o=4.
-	want := map[int]int{0: 1, 1: 1, 2: 2, 3: 1, 4: 1}
-	for k, v := range want {
-		if h[k] != v {
-			t.Fatalf("histogram = %v, want %v", h, want)
-		}
-	}
 	keys := SortedKeys(h)
-	if len(keys) != 5 || keys[0] != 0 || keys[4] != 4 {
+	if len(keys) != 3 || keys[0] != 0 || keys[1] != 1 || keys[2] != 2 {
 		t.Fatalf("keys = %v", keys)
 	}
 }

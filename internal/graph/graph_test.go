@@ -187,14 +187,6 @@ func TestLevelsMonotoneAlongEdges(t *testing.T) {
 	}
 }
 
-func TestReachableFrom(t *testing.T) {
-	g, s, a, b, o := chain(t)
-	r := g.ReachableFrom([]NodeID{a})
-	if !r.Has(a) || !r.Has(b) || !r.Has(o) || r.Has(s) {
-		t.Fatalf("reachable(a) = %v", r)
-	}
-}
-
 func TestClone(t *testing.T) {
 	g, _, a, b, _ := chain(t)
 	c := g.Clone()

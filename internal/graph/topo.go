@@ -98,24 +98,3 @@ func (g *Graph) Depth() (int, error) {
 	}
 	return max, nil
 }
-
-// ReachableFrom returns the set of nodes reachable from any node in
-// srcs, including the sources themselves.
-func (g *Graph) ReachableFrom(srcs []NodeID) NodeSet {
-	seen := NewNodeSet()
-	stack := append([]NodeID(nil), srcs...)
-	for _, s := range srcs {
-		seen.Add(s)
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, m := range g.Successors(n) {
-			if !seen.Has(m) {
-				seen.Add(m)
-				stack = append(stack, m)
-			}
-		}
-	}
-	return seen
-}

@@ -46,7 +46,7 @@ func (s *Service) Delta(ctx context.Context, req Request, edits []synth.Edit) (*
 	}
 	out, coalesced, err := s.synthesize(ctx, ca)
 	if err == nil {
-		s.PersistDesign(ca.Design)
+		s.PersistDesign(ca.StageKey().Fingerprint, ca.Design)
 	}
 	source, o := served(out.tier, coalesced, err)
 	s.stats.observeClass(time.Since(start), o, classDelta)

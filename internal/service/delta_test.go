@@ -239,7 +239,7 @@ func (g gateBackend) Get(store.Key) ([]byte, bool) {
 	<-g.release
 	return nil, false
 }
-func (g gateBackend) Put(store.Key, []byte) error   { return nil }
+func (g gateBackend) PutRaw(string, []byte) error   { return nil }
 func (g gateBackend) Stats() (s store.BackendStats) { return s }
 func (g gateBackend) Close() error                  { return nil }
 

@@ -63,7 +63,7 @@ func (s *Service) resolveDesign(design json.RawMessage, ebk, fingerprint string)
 	if err != nil {
 		return nil, err
 	}
-	s.PersistDesign(d)
+	s.PersistDesign(netlist.Fingerprint(d), d)
 	return d, nil
 }
 

@@ -155,15 +155,13 @@ func runSimulation(ctx context.Context, fingerprint, stimulusHash string, job Si
 }
 
 // PersistDesign writes the design document to the artifact store under
-// its fingerprint (stage "design.v1") and returns that fingerprint.
+// its fingerprint fp (netlist.Fingerprint of d; stage "design.v1").
 // Write failures are swallowed like every other store write:
 // persistence is an optimization, never a correctness dependency.
-func (s *Service) PersistDesign(d *netlist.Design) string {
-	fp := netlist.Fingerprint(d)
+func (s *Service) PersistDesign(fp string, d *netlist.Design) {
 	if raw, err := netlist.MarshalJSON(d); err == nil {
 		s.store.Put(designStoreKey(fp), raw)
 	}
-	return fp
 }
 
 // DesignByFingerprint loads a previously persisted design document by

@@ -78,8 +78,8 @@ func (s *Service) Verify(ctx context.Context, job VerifyJob) (*VerifyResponse, S
 		return nil, SourceMiss, err
 	}
 	// Resolve the schedule once, against the original design: the
-	// verify key, the flight key, and the simulation all see the same
-	// concrete stimuli.
+	// verify key, the flight key, the simulation and the response all
+	// see the same concrete stimuli, hashed once here.
 	opts := job.verifyOptions(s.capSimEvents(job.MaxEvents)).Resolved(ca.Design)
 	key := ca.VerifyStageKey(opts)
 
@@ -123,7 +123,7 @@ func verifyResponse(ca *synth.Captured, res *core.Result, mm []synth.Mismatch, o
 		PartitionResponse: partitionSummary(ca, res),
 		Equivalent:        len(mm) == 0,
 		Mismatches:        mismatchesOrEmpty(mm),
-		StimulusHash:      synth.StimuliHash(opts.Stimuli),
+		StimulusHash:      opts.ScheduleHash(),
 		StimuliCount:      stimuli,
 	}
 }

@@ -1,32 +1,26 @@
 package store
 
-// Backend is one storage tier behind the Store's in-memory first tier.
-// The disk tier (Disk) and the HTTP remote tier (Remote) both
-// implement it; the Store layers them read-through/write-through. A
-// Backend's Get is a pure lookup — a failed or degraded backend
-// reports a miss, never an error — while Put may fail (callers treat
-// backend persistence as an optimization, not a correctness
-// dependency). Implementations must be safe for concurrent use.
+// Backend is the remote tier behind a Store's local tiers (see
+// Options.Remote); Remote, the HTTP client of another store's origin
+// routes, implements it. The Store reads through it on a local miss
+// and writes framed entries through it on Put. Get is a pure lookup —
+// a failed or degraded backend reports a miss, never an error — while
+// PutRaw may fail (the Store treats remote persistence as an
+// optimization, not a correctness dependency). Implementations must be
+// safe for concurrent use.
 type Backend interface {
 	// Get returns the payload stored under k, or reports a miss. A
 	// backend that cannot answer (down origin, corrupt entry) misses.
 	Get(k Key) ([]byte, bool)
-	// Put stores data under k, replacing any existing entry.
-	Put(k Key, data []byte) error
+	// PutRaw stores a framed entry (the exact bytes the disk tier
+	// installs) under its content address, replacing any existing
+	// entry.
+	PutRaw(id string, raw []byte) error
 	// Stats snapshots the backend's counters.
 	Stats() BackendStats
 	// Close releases the backend's resources; subsequent Gets miss and
-	// Puts fail.
+	// PutRaws fail.
 	Close() error
-}
-
-// rawPutter is an optional Backend extension: a backend that can ship
-// a pre-framed entry (the exact bytes the disk tier installs) without
-// re-encoding or re-hashing the payload. The Store uses it for
-// write-throughs when the backend offers it.
-type rawPutter interface {
-	// PutRaw stores a framed entry under its content address.
-	PutRaw(id string, raw []byte) error
 }
 
 // BackendStats is a point-in-time snapshot of one backend's counters.

@@ -4,6 +4,7 @@ import (
 	"crypto/subtle"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 )
 
@@ -41,7 +42,7 @@ import (
 // secret with AuthMiddleware + RemoteOptions.AuthToken.
 func (s *Store) RemoteHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.disk == nil {
+		if s.dir == "" {
 			http.Error(w, "store: memory-only store serves no entries", http.StatusNotFound)
 			return
 		}
@@ -83,18 +84,33 @@ func AuthMiddleware(token string, next http.Handler) http.Handler {
 	})
 }
 
-// serveEntry answers GET/HEAD /{id} from the disk tier.
+// serveEntry answers GET/HEAD /{id} from the disk tier. Serving
+// promotes the file in the disk LRU; a corrupt file is evicted exactly
+// like a failed Get.
 func (s *Store) serveEntry(w http.ResponseWriter, r *http.Request, id string) {
 	s.mu.Lock()
 	s.originGets++
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	if s.closed {
+		s.mu.Unlock()
 		http.Error(w, "store: closed", http.StatusServiceUnavailable)
 		return
 	}
-	raw, ok := s.disk.rawGet(id)
-	if !ok {
+	e := s.index[id]
+	if e == nil || e.diskEl == nil {
+		s.mu.Unlock()
+		http.Error(w, "store: no such entry", http.StatusNotFound)
+		return
+	}
+	s.diskOrder.MoveToFront(e.diskEl)
+	gen := e.gen
+	s.mu.Unlock()
+
+	raw, err := os.ReadFile(s.entryPath(id))
+	if err == nil {
+		_, err = decodeEntryByID(raw, id)
+	}
+	if err != nil {
+		s.evictFailedRead(id, gen, err)
 		http.Error(w, "store: no such entry", http.StatusNotFound)
 		return
 	}
@@ -118,12 +134,14 @@ func (s *Store) acceptEntry(w http.ResponseWriter, r *http.Request, id string) {
 	s.mu.Lock()
 	s.originPuts++
 	closed := s.closed
+	e := s.index[id]
+	exists := e != nil && e.diskEl != nil
 	s.mu.Unlock()
 	if closed {
 		http.Error(w, "store: closed", http.StatusServiceUnavailable)
 		return
 	}
-	if r.Header.Get("If-None-Match") == "*" && s.disk.contains(id) {
+	if r.Header.Get("If-None-Match") == "*" && exists {
 		http.Error(w, "store: entry already exists", http.StatusPreconditionFailed)
 		return
 	}
@@ -141,14 +159,10 @@ func (s *Store) acceptEntry(w http.ResponseWriter, r *http.Request, id string) {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
-	gen, err := s.disk.install(id, raw)
-	if err != nil {
+	if _, err := s.install(id, raw, payload, false); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.mu.Lock()
-	s.promoteMemLocked(id, payload, gen)
-	s.mu.Unlock()
 	w.WriteHeader(http.StatusNoContent)
 }
 

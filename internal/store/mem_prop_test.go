@@ -9,8 +9,8 @@ import (
 
 // checkMemInvariant asserts the memory-tier accounting invariant under
 // the store lock: memBytes equals the sum of resident payload lengths,
-// never exceeds the budget (when one is set), and the map and LRU list
-// agree entry for entry.
+// never exceeds the budget (when one is set), and the index and LRU
+// list agree entry for entry.
 func checkMemInvariant(t *testing.T, s *Store, budget int64) {
 	t.Helper()
 	s.mu.Lock()
@@ -18,18 +18,24 @@ func checkMemInvariant(t *testing.T, s *Store, budget int64) {
 	var sum int64
 	seen := map[string]bool{}
 	for el := s.memOrder.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*memEntry)
+		e := el.Value.(*entry)
 		sum += int64(len(e.payload))
 		if seen[e.id] {
 			t.Fatalf("memory tier holds id %s twice", e.id)
 		}
 		seen[e.id] = true
-		if got, ok := s.mem[e.id]; !ok || got != el {
+		if got, ok := s.index[e.id]; !ok || got != e || e.memEl != el {
 			t.Fatalf("memory index disagrees with LRU list for id %s", e.id)
 		}
 	}
-	if len(s.mem) != s.memOrder.Len() {
-		t.Fatalf("memory index has %d entries, LRU list %d", len(s.mem), s.memOrder.Len())
+	resident := 0
+	for _, e := range s.index {
+		if e.memEl != nil {
+			resident++
+		}
+	}
+	if resident != s.memOrder.Len() {
+		t.Fatalf("memory index has %d entries, LRU list %d", resident, s.memOrder.Len())
 	}
 	if s.memBytes != sum {
 		t.Fatalf("memBytes = %d, resident payloads sum to %d", s.memBytes, sum)

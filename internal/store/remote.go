@@ -190,17 +190,17 @@ func (r *Remote) countError() {
 	r.mu.Unlock()
 }
 
-// Put implements Backend: frame the payload and ship it with PutRaw.
+// Put frames the payload and ships it with PutRaw.
 func (r *Remote) Put(k Key, data []byte) error {
 	return r.PutRaw(k.id(), encodeEntry(k, data))
 }
 
-// PutRaw uploads a pre-framed entry: PUT {base}/{id} with the entry as
-// the body and "If-None-Match: *", so an origin that already holds the
-// entry answers 412 without rewriting it (content-addressed entries
-// for one id are interchangeable). During a cooldown the write is
-// dropped silently — callers treat remote persistence as an
-// optimization.
+// PutRaw implements Backend by uploading a pre-framed entry: PUT
+// {base}/{id} with the entry as the body and "If-None-Match: *", so an
+// origin that already holds the entry answers 412 without rewriting it
+// (content-addressed entries for one id are interchangeable). During a
+// cooldown the write is dropped silently — callers treat remote
+// persistence as an optimization.
 func (r *Remote) PutRaw(id string, raw []byte) error {
 	if r.down() {
 		return nil

@@ -366,7 +366,7 @@ func TestAuthMiddleware(t *testing.T) {
 	}
 }
 
-// blockingBackend is a Backend whose Put parks until released, for
+// blockingBackend is a Backend whose PutRaw parks until released, for
 // saturating the bounded write-through pool.
 type blockingBackend struct {
 	release chan struct{}
@@ -374,7 +374,7 @@ type blockingBackend struct {
 }
 
 func (b *blockingBackend) Get(Key) ([]byte, bool) { return nil, false }
-func (b *blockingBackend) Put(Key, []byte) error {
+func (b *blockingBackend) PutRaw(string, []byte) error {
 	b.puts.Add(1)
 	<-b.release
 	return nil

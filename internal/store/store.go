@@ -4,6 +4,9 @@ import (
 	"container/list"
 	"context"
 	"errors"
+	"fmt"
+	"maps"
+	"os"
 	"sync"
 
 	"repro/internal/flight"
@@ -123,24 +126,39 @@ func (o Options) memBytes() int64 {
 // content-addressed artifact cache rooted at one directory, or a
 // memory-only cache with no directory. Safe for concurrent use;
 // readers are never blocked by eviction (an entry deleted mid-read
-// degrades to a miss). The disk tier is a Disk backend; the optional
-// remote tier is any Backend (see Options.Remote), read through with
-// per-entry single-flighting and written through on Put.
+// degrades to a miss). Both local tiers live in one index under one
+// mutex; the optional remote tier is any Backend (see Options.Remote),
+// read through with per-entry single-flighting and written through on
+// Put.
 type Store struct {
-	// disk is nil in a memory-only store.
-	disk   *Disk
-	remote Backend
-	opts   Options
+	// dir is "" in a memory-only store.
+	dir      string
+	maxBytes int64
+	memMax   int64
+	remote   Backend
 
 	mu     sync.Mutex
 	closed bool
-	// memory tier: key id -> element of memOrder (values *memEntry).
-	mem      map[string]*list.Element
-	memOrder *list.List
-	memBytes int64
+	// index holds every entry with a file or a resident payload.
+	// diskOrder and memOrder are the two tiers' LRU lists over it
+	// (front = most recently used; element values are *entry).
+	index     map[string]*entry
+	diskOrder *list.List
+	memOrder  *list.List
+	diskBytes int64
+	memBytes  int64
+	// gen issues a monotonic generation per install. An entry keeps
+	// the generation of its current contents, so a disk reader can
+	// tell whether the file it read is still current: a payload read
+	// at an older generation is never promoted (it would serve stale
+	// bytes), and a failed read never evicts a newer file.
+	gen uint64
+	// stages breaks disk occupancy down by pipeline stage, maintained
+	// at install and removal.
+	stages map[string]StageUsage
 
 	memoryHits, diskHits, remoteHits, misses uint64
-	puts                                     uint64
+	puts, evictions, corruptEvicted          uint64
 	originGets, originPuts                   uint64
 
 	// rflight single-flights remote fetches per entry id, so a
@@ -163,16 +181,25 @@ type Store struct {
 // this many framed entries in memory.
 const maxRemoteWriteThroughs = 32
 
-// memEntry is one memory-tier payload. gen is the disk generation the
-// payload was installed or read at; promotions carrying an older
-// generation are rejected, so a slow reader can never clobber a
-// fresher payload (see promoteMemLocked). A memory-only store installs
-// everything at generation 0: its only promotions are Puts, which
-// promote under the store lock, so the last Put wins.
-type memEntry struct {
-	id      string
+// entry is one index record: the entry's file (when diskEl is set)
+// and its payload (when memEl is set, i.e. resident in the memory
+// tier). An entry with neither is removed from the index.
+type entry struct {
+	id string
+	// gen is the generation of the install that produced the current
+	// contents.
+	gen uint64
+
+	diskEl *list.Element
+	// size is the file size; stage is the pipeline stage parsed from
+	// the entry's key text ("unknown" when the header could not be
+	// read), kept so removal can maintain the per-stage counters
+	// without re-reading the file.
+	size  int64
+	stage string
+
+	memEl   *list.Element
 	payload []byte
-	gen     uint64
 }
 
 // remoteFetch is the shared outcome of one single-flighted remote Get.
@@ -226,18 +253,30 @@ type StageUsage struct {
 	Bytes   int64 `json:"bytes"`
 }
 
-// Open opens (creating if needed) the store rooted at dir. The disk
-// tier recovers exactly as OpenDisk describes; the memory tier starts
-// empty; the remote tier, when configured, is taken as-is. An empty
-// dir opens a memory-only store: its memory tier is its only tier, so
-// Options.Remote must be nil (a remote hit is written through to disk).
+// Open opens (creating if needed) the store rooted at dir: it sweeps
+// temp files left by a crash, rebuilds the disk index from the entry
+// files present (least recently modified evicts first), and enforces
+// Options.MaxBytes, deleting the evicted files. The memory tier starts
+// empty; the remote tier, when configured, is taken as-is. An
+// unreadable or uncreatable directory is an error; individual
+// malformed or unreadable entry files are indexed and evicted on
+// first access. An empty dir opens a memory-only store: its memory
+// tier is its only tier, so Options.Remote must be nil (a remote hit
+// is written through to disk).
 func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
+		dir:       dir,
+		maxBytes:  opts.MaxBytes,
+		memMax:    opts.memBytes(),
 		remote:    opts.Remote,
-		opts:      opts,
-		mem:       map[string]*list.Element{},
+		index:     map[string]*entry{},
+		diskOrder: list.New(),
 		memOrder:  list.New(),
+		stages:    map[string]StageUsage{},
 		remoteSem: make(chan struct{}, maxRemoteWriteThroughs),
+	}
+	if s.maxBytes == 0 {
+		s.maxBytes = DefaultMaxBytes
 	}
 	if dir == "" {
 		if opts.Remote != nil {
@@ -245,11 +284,19 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		return s, nil
 	}
-	disk, err := OpenDisk(dir, opts.MaxBytes)
+	if err := prepareDir(dir); err != nil {
+		return nil, err
+	}
+	files, err := scanEntries(dir)
 	if err != nil {
 		return nil, err
 	}
-	s.disk = disk
+	for _, f := range files {
+		e := &entry{id: f.id}
+		s.index[f.id] = e
+		s.setFileLocked(e, f.size, f.stage)
+	}
+	s.enforceDiskBoundLocked()
 	return s, nil
 }
 
@@ -257,8 +304,11 @@ func Open(dir string, opts Options) (*Store, error) {
 // directory.
 var errRemoteNeedsDisk = errors.New("store: a remote tier needs a store directory")
 
-// entryPath is the disk tier's file path for id (test hook).
-func (s *Store) entryPath(id string) string { return s.disk.entryPath(id) }
+// errClosed reports a Put on a store that has been closed.
+var errClosed = errors.New("store: put on closed store")
+
+// entryPath is the file path of id's entry.
+func (s *Store) entryPath(id string) string { return entryPath(s.dir, id) }
 
 // Get returns the payload stored under k and the tier that served it:
 // memory, then disk, then (when configured) the remote origin. A
@@ -276,26 +326,24 @@ func (s *Store) Get(k Key) ([]byte, Tier, bool) {
 		s.mu.Unlock()
 		return nil, TierNone, false
 	}
-	if el, ok := s.mem[id]; ok {
-		s.memOrder.MoveToFront(el)
+	e := s.index[id]
+	switch {
+	case e != nil && e.memEl != nil:
+		s.touchLocked(e)
 		s.memoryHits++
-		payload := el.Value.(*memEntry).payload
+		payload := e.payload
 		s.mu.Unlock()
-		if s.disk != nil {
-			s.disk.touch(id)
-		}
 		return payload, TierMemory, true
-	}
-	s.mu.Unlock()
-
-	if s.disk != nil {
-		if payload, gen, ok := s.disk.get(k); ok {
-			s.mu.Lock()
-			s.diskHits++
-			s.promoteMemLocked(id, payload, gen)
-			s.mu.Unlock()
+	case e != nil && e.diskEl != nil:
+		s.touchLocked(e)
+		gen := e.gen
+		s.mu.Unlock()
+		if payload, ok := s.readDisk(k, id, gen); ok {
+			s.promoteRead(id, payload, gen)
 			return payload, TierDisk, true
 		}
+	default:
+		s.mu.Unlock()
 	}
 
 	if s.remote != nil {
@@ -313,6 +361,36 @@ func (s *Store) Get(k Key) ([]byte, Tier, bool) {
 	return nil, TierNone, false
 }
 
+// readDisk reads and verifies the file of id, which held generation
+// gen when the caller looked it up. The read runs outside the lock:
+// eviction may delete the file underneath it, which reads as a miss,
+// not an error.
+func (s *Store) readDisk(k Key, id string, gen uint64) ([]byte, bool) {
+	raw, err := os.ReadFile(s.entryPath(id))
+	var payload []byte
+	if err == nil {
+		payload, err = decodeEntry(raw, k)
+	}
+	if err != nil {
+		s.evictFailedRead(id, gen, err)
+		return nil, false
+	}
+	return payload, true
+}
+
+// promoteRead counts a disk hit and promotes its payload, read from
+// generation gen, into the memory tier — only while the index still
+// holds generation gen. An install that landed during the read owns
+// the entry now, and the bytes read are stale.
+func (s *Store) promoteRead(id string, payload []byte, gen uint64) {
+	s.mu.Lock()
+	s.diskHits++
+	if e := s.index[id]; e != nil && e.gen == gen {
+		s.promoteLocked(e, payload)
+	}
+	s.mu.Unlock()
+}
+
 // fetchRemote resolves one remote miss, single-flighted per entry id:
 // the winner fetches from the origin and writes the entry through to
 // the local tiers; waiters share its payload without re-fetching or
@@ -322,14 +400,10 @@ func (s *Store) fetchRemote(k Key, id string) ([]byte, bool) {
 	f, _, _ := s.rflight.Do(context.Background(), id, func(context.Context) (remoteFetch, error) {
 		payload, ok := s.remote.Get(k)
 		if ok {
-			// Write through so the next Get is local. A disk failure
-			// only skips the promotion; the fetched payload is still
+			// Write through so the next Get is local. A failed install
+			// only skips the local copy; the fetched payload is still
 			// served.
-			if gen, err := s.disk.put(k, payload); err == nil {
-				s.mu.Lock()
-				s.promoteMemLocked(id, payload, gen)
-				s.mu.Unlock()
-			}
+			s.install(id, encodeEntry(k, payload), payload, false)
 		}
 		return remoteFetch{payload: payload, ok: ok}, nil
 	})
@@ -345,66 +419,94 @@ func (s *Store) fetchRemote(k Key, id string) ([]byte, bool) {
 // retains data for its memory tier; the caller must not modify it
 // afterwards.
 func (s *Store) Put(k Key, data []byte) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errClosed
-	}
-	s.mu.Unlock()
-
 	// Frame (and checksum) the entry once; the disk install and the
 	// remote write-through ship the identical bytes. A memory-only
 	// store keeps the payload alone.
 	id := k.id()
 	var raw []byte
-	var gen uint64
-	if s.disk != nil {
+	if s.dir != "" {
 		raw = encodeEntry(k, data)
-		var err error
-		if gen, err = s.disk.install(id, raw); err != nil {
-			return err
+	}
+	writeThrough, err := s.install(id, raw, data, true)
+	if err != nil || !writeThrough {
+		return err
+	}
+	go func() {
+		defer func() {
+			<-s.remoteSem
+			s.remoteWG.Done()
+		}()
+		// Write-through failures are deliberately dropped here: the
+		// backend counts them (BackendStats.Errors) and cools down.
+		s.remote.PutRaw(id, raw)
+	}()
+	return nil
+}
+
+// install makes raw, the framed entry of payload, the entry under id:
+// Put, the remote fetch's write-through and the origin's PUT all come
+// through here. The file is written to a temp file and fsynced outside
+// the lock, then renamed into place, indexed at a fresh generation and
+// its payload promoted in one critical section, so a concurrent
+// reader's promotion or failed-read eviction can never clobber it. A
+// memory-only store has no file and indexes the payload alone.
+//
+// A local Put also counts itself and reserves a remote write-through
+// slot, reported by the result. The reservation shares the critical
+// section with the closed check, so it can never race Close's Wait.
+// It is non-blocking: a saturated origin sheds write-throughs (they
+// are an optimization) rather than stalling Puts or accumulating
+// goroutines.
+func (s *Store) install(id string, raw, payload []byte, local bool) (writeThrough bool, err error) {
+	var tmp string
+	if s.dir != "" {
+		if tmp, err = writeTemp(s.dir, id, raw); err != nil {
+			return false, err
 		}
 	}
+
 	s.mu.Lock()
-	s.puts++
-	s.promoteMemLocked(id, data, gen)
-	// The closed re-check and the WaitGroup Add share the critical
-	// section with Close's closed=true, so an Add can never race
-	// Close's Wait (a Put that loses the race skips the remote leg;
-	// its local write is already durable). The semaphore acquisition
-	// is non-blocking: a saturated origin sheds write-throughs (they
-	// are an optimization) rather than stalling Puts or accumulating
-	// goroutines.
-	spawn := false
-	if s.remote != nil && !s.closed {
-		select {
-		case s.remoteSem <- struct{}{}:
-			spawn = true
-			s.remoteWG.Add(1)
-		default:
-			s.remoteDrops++
+	if s.closed {
+		s.mu.Unlock()
+		if tmp != "" {
+			os.Remove(tmp)
+		}
+		return false, errClosed
+	}
+	if tmp != "" {
+		//eblocks:ignore lockheld the rename must be under the mutex so concurrent corrupt-entry eviction can never delete a freshly written replacement; the expensive write+sync already happened outside the lock
+		if err := os.Rename(tmp, s.entryPath(id)); err != nil {
+			s.mu.Unlock()
+			os.Remove(tmp)
+			return false, fmt.Errorf("store: put: %w", err)
+		}
+	}
+	s.gen++
+	e := s.index[id]
+	if e == nil {
+		e = &entry{id: id}
+		s.index[id] = e
+	}
+	e.gen = s.gen
+	if tmp != "" {
+		s.setFileLocked(e, int64(len(raw)), stageOfEntryHeader(raw))
+	}
+	s.promoteLocked(e, payload)
+	s.enforceDiskBoundLocked()
+	if local {
+		s.puts++
+		if s.remote != nil {
+			select {
+			case s.remoteSem <- struct{}{}:
+				writeThrough = true
+				s.remoteWG.Add(1)
+			default:
+				s.remoteDrops++
+			}
 		}
 	}
 	s.mu.Unlock()
-
-	if spawn {
-		go func() {
-			defer func() {
-				<-s.remoteSem
-				s.remoteWG.Done()
-			}()
-			// Write-through failures are deliberately dropped here:
-			// the backend counts them (BackendStats.Errors) and cools
-			// down. Backends that accept pre-framed entries (Remote)
-			// are handed the bytes already built for the disk install.
-			if rp, ok := s.remote.(rawPutter); ok {
-				rp.PutRaw(id, raw)
-			} else {
-				s.remote.Put(k, data)
-			}
-		}()
-	}
-	return nil
+	return writeThrough, nil
 }
 
 // Flush blocks until every remote write-through issued so far has
@@ -415,49 +517,133 @@ func (s *Store) Flush() {
 	s.remoteWG.Wait()
 }
 
-// errClosed reports a Put on a store that has been closed.
-var errClosed = errors.New("store: put on closed store")
+// touchLocked marks e most recently used in every tier holding it.
+func (s *Store) touchLocked(e *entry) {
+	if e.memEl != nil {
+		s.memOrder.MoveToFront(e.memEl)
+	}
+	if e.diskEl != nil {
+		s.diskOrder.MoveToFront(e.diskEl)
+	}
+}
 
-// promoteMemLocked installs payload in the memory tier (unless the
-// tier is disabled, the payload alone exceeds its budget, or a fresher
-// generation is already resident).
-func (s *Store) promoteMemLocked(id string, payload []byte, gen uint64) {
-	budget := s.opts.memBytes()
-	if budget < 0 || int64(len(payload)) > budget {
-		// The new payload cannot live in the tier — but a resident
-		// older version is now superseded and must not keep serving
-		// stale bytes (found by TestMemTierAccountingProperty: a Put
-		// whose payload outgrew the budget left the previous payload
-		// answering memory hits).
-		if el, ok := s.mem[id]; ok && gen >= el.Value.(*memEntry).gen {
-			e := el.Value.(*memEntry)
-			s.memOrder.Remove(el)
-			delete(s.mem, id)
-			s.memBytes -= int64(len(e.payload))
-		}
+// promoteLocked makes payload e's resident payload, evicting the least
+// recently used payloads beyond the memory budget. A payload the tier
+// cannot hold (the tier is disabled, or the payload alone exceeds its
+// budget) is not resident, and neither is any older payload of e: it
+// is superseded and must not keep answering memory hits.
+func (s *Store) promoteLocked(e *entry, payload []byte) {
+	if s.memMax < 0 || int64(len(payload)) > s.memMax {
+		s.dropPayloadLocked(e)
 		return
 	}
-	if el, ok := s.mem[id]; ok {
-		e := el.Value.(*memEntry)
-		if gen < e.gen {
-			// A concurrent install already promoted fresher bytes; a
-			// reader that began before it must not overwrite them.
-			return
-		}
-		s.memBytes += int64(len(payload)) - int64(len(e.payload))
-		e.payload = payload
-		e.gen = gen
-		s.memOrder.MoveToFront(el)
-	} else {
-		s.mem[id] = s.memOrder.PushFront(&memEntry{id: id, payload: payload, gen: gen})
-		s.memBytes += int64(len(payload))
-	}
-	for s.memBytes > budget {
-		oldest := s.memOrder.Back()
-		e := oldest.Value.(*memEntry)
-		s.memOrder.Remove(oldest)
-		delete(s.mem, e.id)
+	if e.memEl != nil {
 		s.memBytes -= int64(len(e.payload))
+		s.memOrder.MoveToFront(e.memEl)
+	} else {
+		e.memEl = s.memOrder.PushFront(e)
+	}
+	e.payload = payload
+	s.memBytes += int64(len(payload))
+	for s.memBytes > s.memMax {
+		s.dropPayloadLocked(s.memOrder.Back().Value.(*entry))
+	}
+}
+
+// dropPayloadLocked evicts e's payload from the memory tier, if
+// resident.
+func (s *Store) dropPayloadLocked(e *entry) {
+	if e.memEl != nil {
+		s.memOrder.Remove(e.memEl)
+		s.memBytes -= int64(len(e.payload))
+		e.memEl, e.payload = nil, nil
+	}
+	s.forgetIfEmptyLocked(e)
+}
+
+// setFileLocked records e's freshly installed (or, at Open, found)
+// file as the most recently used one on disk.
+func (s *Store) setFileLocked(e *entry, size int64, stage string) {
+	if e.diskEl != nil {
+		s.unaccountFileLocked(e)
+		s.diskOrder.MoveToFront(e.diskEl)
+	} else {
+		e.diskEl = s.diskOrder.PushFront(e)
+	}
+	e.size, e.stage = size, stage
+	s.diskBytes += size
+	u := s.stages[stage]
+	u.Entries++
+	u.Bytes += size
+	s.stages[stage] = u
+}
+
+// dropFileLocked removes e's file from the index (callers delete the
+// file and maintain the outcome counters).
+func (s *Store) dropFileLocked(e *entry) {
+	if e.diskEl != nil {
+		s.unaccountFileLocked(e)
+		s.diskOrder.Remove(e.diskEl)
+		e.diskEl = nil
+	}
+	s.forgetIfEmptyLocked(e)
+}
+
+// unaccountFileLocked subtracts e's file from the disk and per-stage
+// occupancy.
+func (s *Store) unaccountFileLocked(e *entry) {
+	s.diskBytes -= e.size
+	u := s.stages[e.stage]
+	u.Entries--
+	u.Bytes -= e.size
+	s.stages[e.stage] = u
+	if u.Entries <= 0 {
+		delete(s.stages, e.stage)
+	}
+}
+
+// forgetIfEmptyLocked removes e from the index once it has neither a
+// file nor a resident payload.
+func (s *Store) forgetIfEmptyLocked(e *entry) {
+	if e.diskEl == nil && e.memEl == nil && s.index[e.id] == e {
+		delete(s.index, e.id)
+	}
+}
+
+// enforceDiskBoundLocked evicts least-recently-used files (deleting
+// them) until disk usage is under the byte budget. The most recently
+// used file is never evicted, even when it alone exceeds the budget.
+// A resident payload outlives its evicted file.
+func (s *Store) enforceDiskBoundLocked() {
+	if s.maxBytes < 0 {
+		return
+	}
+	for s.diskBytes > s.maxBytes && s.diskOrder.Len() > 1 {
+		e := s.diskOrder.Back().Value.(*entry)
+		s.dropFileLocked(e)
+		s.evictions++
+		os.Remove(s.entryPath(e.id))
+	}
+}
+
+// evictFailedRead drops id's file after a failed read of generation
+// gen — unless a concurrent install has already replaced the file, in
+// which case the fresh entry is left alone.
+func (s *Store) evictFailedRead(id string, gen uint64, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.index[id]
+	if e == nil || e.diskEl == nil || e.gen != gen {
+		return
+	}
+	s.dropFileLocked(e)
+	if !os.IsNotExist(err) {
+		// Present but corrupt or unreadable: delete the file (under
+		// the lock, so we cannot race a re-install's rename) to keep
+		// disk usage within accounting.
+		s.corruptEvicted++
+		//eblocks:ignore lockheld deleting under the lock is the crash-safety design: it cannot race a re-install's rename, and a same-filesystem unlink is not blocking I/O in any meaningful sense
+		os.Remove(s.entryPath(id))
 	}
 }
 
@@ -465,6 +651,8 @@ func (s *Store) promoteMemLocked(id string, payload []byte, gen uint64) {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	st := Stats{
+		Entries:             s.diskOrder.Len(),
+		BytesUsed:           s.diskBytes,
 		MemEntries:          s.memOrder.Len(),
 		MemBytesUsed:        s.memBytes,
 		MemoryHits:          s.memoryHits,
@@ -472,18 +660,16 @@ func (s *Store) Stats() Stats {
 		RemoteHits:          s.remoteHits,
 		Misses:              s.misses,
 		Puts:                s.puts,
+		Evictions:           s.evictions,
+		CorruptEvicted:      s.corruptEvicted,
 		OriginGets:          s.originGets,
 		OriginPuts:          s.originPuts,
 		RemoteDroppedWrites: s.remoteDrops,
 	}
-	s.mu.Unlock()
-	if s.disk != nil {
-		ds := s.disk.Stats()
-		st.Entries = ds.Entries
-		st.BytesUsed = ds.BytesUsed
-		st.Evictions, st.CorruptEvicted = s.disk.counters()
-		st.Stages = s.disk.StageStats()
+	if s.dir != "" {
+		st.Stages = maps.Clone(s.stages)
 	}
+	s.mu.Unlock()
 	if s.remote != nil {
 		rs := s.remote.Stats()
 		st.Remote = &rs
@@ -494,39 +680,27 @@ func (s *Store) Stats() Stats {
 // Len returns the number of entries in the disk tier (0 in a
 // memory-only store).
 func (s *Store) Len() int {
-	if s.disk == nil {
-		return 0
-	}
-	return s.disk.Len()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.diskOrder.Len()
 }
 
 // Dir returns the store's root directory ("" for a memory-only
 // store).
-func (s *Store) Dir() string {
-	if s.disk == nil {
-		return ""
-	}
-	return s.disk.Dir()
-}
+func (s *Store) Dir() string { return s.dir }
 
-// Close marks the store closed and closes its backends; subsequent
+// Close marks the store closed and closes its remote tier; subsequent
 // Gets miss and Puts fail. All locally written entries are already
 // durable (entries are synced and renamed at Put time); Close only
 // waits for in-flight remote write-throughs (each bounded by the
-// remote backend's timeout) before closing the backends.
+// remote backend's timeout) before closing the remote tier.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
 	s.remoteWG.Wait()
-	var err error
-	if s.disk != nil {
-		err = s.disk.Close()
-	}
 	if s.remote != nil {
-		if rerr := s.remote.Close(); err == nil {
-			err = rerr
-		}
+		return s.remote.Close()
 	}
-	return err
+	return nil
 }

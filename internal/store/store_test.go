@@ -568,3 +568,44 @@ func TestReopenPreservesLRUOrder(t *testing.T) {
 func timeFor(i int) time.Time {
 	return time.Date(2026, 1, 1, 0, 0, i, 0, time.UTC)
 }
+
+// TestStalePromotionAfterOversizedPut replays Get's disk-hit steps
+// around a Put: the disk read of generation g, then a Put whose payload
+// exceeds MemBytes (so it installs no resident payload), then the
+// read's promotion. The promotion must not install the old payload,
+// which would keep answering memory hits after the Put.
+func TestStalePromotionAfterOversizedPut(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{MemBytes: 64}
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey(1)
+	id := k.id()
+	mustPut(t, s, k, []byte("old payload"))
+	s.Close()
+	// Reopen so the entry lives on disk only.
+	if s, err = Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+
+	s.mu.Lock()
+	gen := s.index[id].gen
+	s.mu.Unlock()
+	old, ok := s.readDisk(k, id, gen)
+	if !ok {
+		t.Fatal("disk read of the stored entry missed")
+	}
+	fresh := bytes.Repeat([]byte("n"), 65)
+	mustPut(t, s, k, fresh)
+	s.promoteRead(id, old, gen)
+
+	got, tier, ok := s.Get(k)
+	if !ok || !bytes.Equal(got, fresh) {
+		t.Fatalf("Get after the Put = %q from %v (ok %v), want the Put's payload", got, tier, ok)
+	}
+	if tier != TierDisk {
+		t.Errorf("oversized payload served from %v, want disk", tier)
+	}
+}

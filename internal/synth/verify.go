@@ -34,6 +34,9 @@ type VerifyOptions struct {
 	// Ctx, when non-nil, cancels the underlying simulations
 	// cooperatively — the server-use knob, mirroring core.Options.Ctx.
 	Ctx context.Context
+
+	// stimHash is StimuliHash(Stimuli), computed once by Resolved.
+	stimHash string
 }
 
 func (v VerifyOptions) steps() int {
@@ -65,17 +68,28 @@ func (v VerifyOptions) ctx() context.Context {
 }
 
 // Resolved returns a copy of the options with the stimulus schedule
-// materialized against d: a nil Stimuli is replaced by the
+// materialized against d — a nil Stimuli is replaced by the
 // deterministic random schedule Verify would generate from
-// Steps/Seed/SettleMillis. Resolving first makes the verification
-// cache key (VerifyStageKey) depend only on the concrete schedule,
-// never on how it was specified.
+// Steps/Seed/SettleMillis — and its content hash (ScheduleHash)
+// computed. Resolving first makes the verification cache key
+// (VerifyStageKey) depend only on the concrete schedule, never on how
+// it was specified. Resolving resolved options returns them unchanged,
+// so a verification hashes its schedule once however many stages ask
+// for the key; set Stimuli only on unresolved options.
 func (v VerifyOptions) Resolved(d *netlist.Design) VerifyOptions {
+	if v.stimHash != "" {
+		return v
+	}
 	if v.Stimuli == nil {
 		v.Stimuli = RandomStimuli(d, v.steps(), v.settle(), v.seed())
 	}
+	v.stimHash = StimuliHash(v.Stimuli)
 	return v
 }
+
+// ScheduleHash returns StimuliHash(v.Stimuli) as Resolved computed
+// it; it is empty on unresolved options.
+func (v VerifyOptions) ScheduleHash() string { return v.stimHash }
 
 // Mismatch describes one disagreement between the two designs. The
 // JSON field names are part of both the service wire schema and the

@@ -38,7 +38,7 @@ func (ca *Captured) VerifyStageKey(opts VerifyOptions) StageKey {
 	// sem=delta records that Verify pins delta-cycle semantics; if a
 	// future mode verifies under packet timing, its artifacts get a
 	// distinct address.
-	k.Aux = fmt.Sprintf("verify|stim=%s|settle=%d|sem=delta", StimuliHash(opts.Stimuli), opts.settle())
+	k.Aux = fmt.Sprintf("verify|stim=%s|settle=%d|sem=delta", opts.stimHash, opts.settle())
 	return k
 }
 
