@@ -46,3 +46,26 @@ func TestFanoutHistogram(t *testing.T) {
 		t.Fatalf("keys = %v", keys)
 	}
 }
+
+func TestLevelHistogram(t *testing.T) {
+	g, _ := diamond(t)
+	lvl, err := g.Levels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := map[int]int{}
+	for _, l := range lvl {
+		h[l]++
+	}
+	// Levels: s=0, a=1, b=c=2, d=3, o=4.
+	want := map[int]int{0: 1, 1: 1, 2: 2, 3: 1, 4: 1}
+	for k, v := range want {
+		if h[k] != v {
+			t.Fatalf("histogram = %v, want %v", h, want)
+		}
+	}
+	keys := SortedKeys(h)
+	if len(keys) != 5 || keys[0] != 0 || keys[4] != 4 {
+		t.Fatalf("keys = %v", keys)
+	}
+}
