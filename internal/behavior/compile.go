@@ -5,10 +5,11 @@ import "fmt"
 // This file implements a bytecode compiler for behavior programs. The
 // simulator evaluates every block at every packet arrival; on large
 // networks (the paper's 465-inner-block scaling experiment) the
-// tree-walking interpreter dominates runtime. Compiled programs execute
-// the same semantics over a flat instruction array with slot-indexed
-// variables instead of map lookups. Equivalence with Eval is enforced
-// by property tests.
+// tree-walking interpreter (Eval) dominates runtime, so it is kept as
+// the reference and the simulator runs bytecode. Compiled programs
+// execute the same semantics over a flat instruction array with
+// slot-indexed variables instead of map lookups. Equivalence with Eval
+// is enforced by property tests.
 
 // Opcode enumerates VM instructions.
 type Opcode uint8
@@ -139,9 +140,6 @@ func MustCompile(p *Program) *Compiled {
 	return c
 }
 
-// Source returns the program this was compiled from.
-func (c *Compiled) Source() *Program { return c.prog }
-
 // NumInstr returns the instruction count (for tests and size metrics).
 func (c *Compiled) NumInstr() int { return len(c.code) }
 
@@ -166,15 +164,6 @@ func (g *codegenState) push(n int) {
 
 func (g *codegenState) pop(n int) { g.depth -= n }
 
-func (g *codegenState) slotOf(names []string, name string) int {
-	for i, n := range names {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
 func (g *codegenState) stmt(s Stmt) error {
 	switch s := s.(type) {
 	case *BlockStmt:
@@ -188,9 +177,9 @@ func (g *codegenState) stmt(s Stmt) error {
 		if err := g.expr(s.X); err != nil {
 			return err
 		}
-		if slot := g.slotOf(g.c.outputs, s.Name); slot >= 0 {
+		if slot := indexOf(g.c.outputs, s.Name); slot >= 0 {
 			g.emit(Instr{Op: OpStoreOutput, A: slot})
-		} else if slot := g.slotOf(g.c.states, s.Name); slot >= 0 {
+		} else if slot := indexOf(g.c.states, s.Name); slot >= 0 {
 			g.emit(Instr{Op: OpStoreState, A: slot})
 		} else {
 			return errf(s.Pos, "compile: assignment to unknown slot %q", s.Name)
@@ -269,17 +258,17 @@ func (g *codegenState) ident(e *Ident) error {
 		g.push(1)
 		return nil
 	}
-	if slot := g.slotOf(g.c.inputs, e.Name); slot >= 0 {
+	if slot := indexOf(g.c.inputs, e.Name); slot >= 0 {
 		g.emit(Instr{Op: OpLoadInput, A: slot})
 		g.push(1)
 		return nil
 	}
-	if slot := g.slotOf(g.c.states, e.Name); slot >= 0 {
+	if slot := indexOf(g.c.states, e.Name); slot >= 0 {
 		g.emit(Instr{Op: OpLoadState, A: slot})
 		g.push(1)
 		return nil
 	}
-	if slot := g.slotOf(g.c.params, e.Name); slot >= 0 {
+	if slot := indexOf(g.c.params, e.Name); slot >= 0 {
 		// Params live after states in the state array (read-only by
 		// construction: Check rejects assignments to params).
 		g.emit(Instr{Op: OpLoadState, A: len(g.c.states) + slot})
@@ -385,7 +374,7 @@ func (g *codegenState) call(e *CallExpr) error {
 	switch e.Fun {
 	case "rising": // cur != 0 && prev == 0
 		in := e.Args[0].(*Ident).Name
-		slot := g.slotOf(g.c.inputs, in)
+		slot := indexOf(g.c.inputs, in)
 		g.emit(Instr{Op: OpLoadInput, A: slot})
 		g.push(1)
 		g.emit(Instr{Op: OpConst, Imm: 0})
@@ -403,7 +392,7 @@ func (g *codegenState) call(e *CallExpr) error {
 		return nil
 	case "falling": // cur == 0 && prev != 0
 		in := e.Args[0].(*Ident).Name
-		slot := g.slotOf(g.c.inputs, in)
+		slot := indexOf(g.c.inputs, in)
 		g.emit(Instr{Op: OpLoadInput, A: slot})
 		g.push(1)
 		g.emit(Instr{Op: OpConst, Imm: 0})
@@ -421,7 +410,7 @@ func (g *codegenState) call(e *CallExpr) error {
 		return nil
 	case "changed":
 		in := e.Args[0].(*Ident).Name
-		slot := g.slotOf(g.c.inputs, in)
+		slot := indexOf(g.c.inputs, in)
 		g.emit(Instr{Op: OpLoadInput, A: slot})
 		g.push(1)
 		g.emit(Instr{Op: OpLoadPrev, A: slot})
@@ -431,7 +420,7 @@ func (g *codegenState) call(e *CallExpr) error {
 		return nil
 	case "prev":
 		in := e.Args[0].(*Ident).Name
-		g.emit(Instr{Op: OpLoadPrev, A: g.slotOf(g.c.inputs, in)})
+		g.emit(Instr{Op: OpLoadPrev, A: indexOf(g.c.inputs, in)})
 		g.push(1)
 		return nil
 	case "schedule":

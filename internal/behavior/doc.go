@@ -4,9 +4,12 @@
 // transformed to a syntax tree"; the code generator then merges the
 // syntax trees of all blocks in a partition into one program. This
 // package provides the language: lexer, parser, abstract syntax tree,
-// static checks, a tree-walking interpreter used by the simulator, and
-// the AST rewriting utilities (identifier substitution, variable
-// renaming, timer re-tagging) that the code generator relies on.
+// static checks, the bytecode compiler and VM (Compile, Machine.Step)
+// the simulator runs, the tree-walking interpreter (Eval,
+// Machine.Interpret) that is the VM's reference over the same machine
+// slots, and the AST rewriting utilities (identifier substitution,
+// variable renaming, timer re-tagging) that the code generator relies
+// on.
 //
 // A behavior program declares its interface and a run body:
 //

@@ -58,44 +58,36 @@ func (m *Machine) Reset() {
 // SetParam overrides a parameter value; it reports whether the name is
 // a declared parameter.
 func (m *Machine) SetParam(name string, v int64) bool {
-	for i, n := range m.c.params {
-		if n == name {
-			m.state[len(m.c.states)+i] = v
-			return true
-		}
+	i := indexOf(m.c.params, name)
+	if i >= 0 {
+		m.state[len(m.c.states)+i] = v
 	}
-	return false
+	return i >= 0
 }
 
 // InputSlot returns the slot index of the named input, or -1.
-func (m *Machine) InputSlot(name string) int {
-	for i, n := range m.c.inputs {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
+func (m *Machine) InputSlot(name string) int { return indexOf(m.c.inputs, name) }
 
 // OutputSlot returns the slot index of the named output, or -1.
-func (m *Machine) OutputSlot(name string) int {
-	for i, n := range m.c.outputs {
+func (m *Machine) OutputSlot(name string) int { return indexOf(m.c.outputs, name) }
+
+// State returns the current value of a named state variable; ok is
+// false for unknown names.
+func (m *Machine) State(name string) (int64, bool) {
+	if i := indexOf(m.c.states, name); i >= 0 {
+		return m.state[i], true
+	}
+	return 0, false
+}
+
+// indexOf returns the position of name in a slot list, or -1.
+func indexOf(names []string, name string) int {
+	for i, n := range names {
 		if n == name {
 			return i
 		}
 	}
 	return -1
-}
-
-// State returns the current value of a named state variable (testing
-// helper); ok is false for unknown names.
-func (m *Machine) State(name string) (int64, bool) {
-	for i, n := range m.c.states {
-		if n == name {
-			return m.state[i], true
-		}
-	}
-	return 0, false
 }
 
 // States returns a copy of the machine's state variables in
@@ -188,6 +180,63 @@ func (m *Machine) Step(host Host) error {
 	}
 	copy(m.Prev, m.In)
 	return nil
+}
+
+// Interpret executes the program once on the tree-walking interpreter
+// (Eval) against the machine's slots, then latches Prev = In like
+// Step. It is the reference Step is held equal to: both leave the same
+// outputs, states and host calls.
+func (m *Machine) Interpret(host Host) error {
+	if err := Eval(m.c.prog, slotEnv{m, host}); err != nil {
+		return err
+	}
+	copy(m.Prev, m.In)
+	return nil
+}
+
+// slotEnv is the Env Interpret runs against: names resolve by scanning
+// the machine's slot lists, and timers and time go to the host.
+type slotEnv struct {
+	m *Machine
+	Host
+}
+
+func (e slotEnv) Input(name string) (int64, bool) {
+	if i := e.m.InputSlot(name); i >= 0 {
+		return e.m.In[i], true
+	}
+	return 0, false
+}
+
+func (e slotEnv) PrevInput(name string) (int64, bool) {
+	if i := e.m.InputSlot(name); i >= 0 {
+		return e.m.Prev[i], true
+	}
+	return 0, false
+}
+
+func (e slotEnv) SetOutput(name string, v int64) {
+	if i := e.m.OutputSlot(name); i >= 0 {
+		e.m.Out[i] = v
+	}
+}
+
+func (e slotEnv) State(name string) int64 {
+	v, _ := e.m.State(name)
+	return v
+}
+
+func (e slotEnv) SetState(name string, v int64) {
+	if i := indexOf(e.m.c.states, name); i >= 0 {
+		e.m.state[i] = v
+	}
+}
+
+func (e slotEnv) Param(name string) (int64, bool) {
+	if i := indexOf(e.m.c.params, name); i >= 0 {
+		return e.m.state[len(e.m.c.states)+i], true
+	}
+	return 0, false
 }
 
 func applyBinary(op int, x, y int64) (int64, error) {

@@ -8,6 +8,6 @@
 // combinational functions (AND, OR, NOT, and two- or three-input truth
 // tables) and basic sequential functions (toggle, trip, pulse generate,
 // delay, prolong). Behaviors are written in the language of
-// internal/behavior and are interpreted by the simulator and merged by
-// the code generator.
+// internal/behavior and are run by the simulator and merged by the
+// code generator.
 package block

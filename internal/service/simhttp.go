@@ -42,11 +42,12 @@ type VerifyJSONRequest struct {
 	MaxEvents    int    `json:"maxEvents,omitempty"`
 }
 
-// resolveDesign turns the design/ebk/fingerprint triple into a design:
-// exactly one source must be set. Inline designs are persisted to the
-// store (stage "design.v1") so later requests can use the returned
-// fingerprint instead.
-func (s *Service) resolveDesign(design json.RawMessage, ebk, fingerprint string) (*netlist.Design, error) {
+// resolveDesign turns the design/ebk/fingerprint triple into a design
+// and its fingerprint: exactly one source must be set. Inline designs
+// are hashed once and persisted to the store (stage "design.v1") so
+// later requests can use the returned fingerprint instead; a
+// by-fingerprint request returns the content address it named.
+func (s *Service) resolveDesign(design json.RawMessage, ebk, fingerprint string) (*netlist.Design, string, error) {
 	set := 0
 	for _, ok := range []bool{len(design) > 0, ebk != "", fingerprint != ""} {
 		if ok {
@@ -54,40 +55,43 @@ func (s *Service) resolveDesign(design json.RawMessage, ebk, fingerprint string)
 		}
 	}
 	if set != 1 {
-		return nil, fmt.Errorf("give exactly one of \"design\" (JSON), \"ebk\" (text) or \"fingerprint\" (content address), got %d", set)
+		return nil, "", fmt.Errorf("give exactly one of \"design\" (JSON), \"ebk\" (text) or \"fingerprint\" (content address), got %d", set)
 	}
 	if fingerprint != "" {
-		return s.DesignByFingerprint(fingerprint)
+		d, err := s.DesignByFingerprint(fingerprint)
+		return d, fingerprint, err
 	}
 	d, err := decodeDesign(design, ebk)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	s.PersistDesign(netlist.Fingerprint(d), d)
-	return d, nil
+	fp := netlist.Fingerprint(d)
+	s.PersistDesign(fp, d)
+	return d, fp, nil
 }
 
-// toJob decodes the wire request into a SimulateJob.
-func (jr SimulateJSONRequest) toJob(s *Service) (SimulateJob, error) {
-	d, err := s.resolveDesign(jr.Design, jr.EBK, jr.Fingerprint)
+// toJob decodes the wire request into a SimulateJob and the design's
+// fingerprint.
+func (jr SimulateJSONRequest) toJob(s *Service) (SimulateJob, string, error) {
+	d, fp, err := s.resolveDesign(jr.Design, jr.EBK, jr.Fingerprint)
 	if err != nil {
-		return SimulateJob{}, err
+		return SimulateJob{}, "", err
 	}
 	var stimuli []sim.Stimulus
 	if jr.Script != "" {
 		if stimuli, err = sim.ParseScript(jr.Script); err != nil {
-			return SimulateJob{}, err
+			return SimulateJob{}, "", err
 		}
 	}
 	if jr.Until < 0 {
-		return SimulateJob{}, fmt.Errorf("negative horizon %d", jr.Until)
+		return SimulateJob{}, "", fmt.Errorf("negative horizon %d", jr.Until)
 	}
-	return SimulateJob{Design: d, Stimuli: stimuli, Until: jr.Until, Config: jr.Config}, nil
+	return SimulateJob{Design: d, Stimuli: stimuli, Until: jr.Until, Config: jr.Config}, fp, nil
 }
 
 // toJob decodes the wire request into a VerifyJob.
 func (jr VerifyJSONRequest) toJob(s *Service) (VerifyJob, error) {
-	d, err := s.resolveDesign(jr.JSONRequest.Design, jr.EBK, jr.Fingerprint)
+	d, _, err := s.resolveDesign(jr.JSONRequest.Design, jr.EBK, jr.Fingerprint)
 	if err != nil {
 		return VerifyJob{}, err
 	}
@@ -136,12 +140,12 @@ func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.handleSimulateVCD(w, r, jr)
 		return
 	}
-	job, err := jr.toJob(s)
+	job, fp, err := jr.toJob(s)
 	if err != nil {
 		writeResolveError(w, err)
 		return
 	}
-	resp, coalesced, err := s.Simulate(r.Context(), job)
+	resp, coalesced, err := s.simulate(r.Context(), job, fp)
 	if err != nil {
 		writeSimError(w, err)
 		return

@@ -83,13 +83,18 @@ func (s *Service) applySimDefaults(c sim.Config) sim.Config {
 // for it any more (flight.Group.Do), so one client leaving never fails
 // another.
 func (s *Service) Simulate(ctx context.Context, job SimulateJob) (*SimulateResponse, bool, error) {
+	return s.simulate(ctx, job, netlist.Fingerprint(job.Design))
+}
+
+// simulate is Simulate for a job whose design fingerprint fp the
+// caller already holds.
+func (s *Service) simulate(ctx context.Context, job SimulateJob, fp string) (*SimulateResponse, bool, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		s.stats.observeClass(time.Since(start), outcomeError, classSimulate)
 		return nil, false, err
 	}
 	job.Config = s.applySimDefaults(job.Config)
-	fp := netlist.Fingerprint(job.Design)
 	stimHash := synth.StimuliHash(job.Stimuli)
 
 	key := fmt.Sprintf("sim|%s|until=%d|%s|stim=%s", fp, job.Until, job.Config.Canonical(), stimHash)

@@ -308,7 +308,7 @@ func (s *Service) streamRun(ctx context.Context, w http.ResponseWriter, sm *sim.
 // snapshots every N ms of simulation time. Streamed runs are not
 // coalesced — every client needs its own byte stream.
 func (s *Service) handleSimulateStream(w http.ResponseWriter, r *http.Request, jr SimulateJSONRequest) {
-	job, err := jr.toJob(s)
+	job, fp, err := jr.toJob(s)
 	if err != nil {
 		writeResolveError(w, err)
 		return
@@ -328,7 +328,6 @@ func (s *Service) handleSimulateStream(w http.ResponseWriter, r *http.Request, j
 		writeSimError(w, err)
 		return
 	}
-	fp := netlist.Fingerprint(job.Design)
 	stimHash := synth.StimuliHash(job.Stimuli)
 	s.streamRun(r.Context(), w, sm, streamJob{
 		design:          job.Design,
@@ -439,7 +438,7 @@ func (s *Service) handleSimulateResume(w http.ResponseWriter, r *http.Request) {
 // the status line is already on the wire.
 func (s *Service) handleSimulateVCD(w http.ResponseWriter, r *http.Request, jr SimulateJSONRequest) {
 	start := time.Now()
-	job, err := jr.toJob(s)
+	job, _, err := jr.toJob(s)
 	if err != nil {
 		writeResolveError(w, err)
 		return

@@ -368,7 +368,7 @@ func TestHTTPStreamDownStoreBestEffort(t *testing.T) {
 		t.Cleanup(ts.Close)
 		// Persist the design while the store is up, then take the store
 		// down: Put now fails, Get now misses.
-		if _, err := svc.resolveDesign(raw, "", ""); err != nil {
+		if _, _, err := svc.resolveDesign(raw, "", ""); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.Close(); err != nil {

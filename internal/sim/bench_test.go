@@ -24,9 +24,9 @@ func benchStimuli(d *netlist.Design, steps int) []Stimulus {
 }
 
 // BenchmarkInterpreterEval drives the largest library design through
-// the tree-walking interpreter (the default evaluator): the hot path
-// is behavior.Eval's Env calls, which resolve pin/state/param names
-// through the per-program index tables.
+// the tree-walking interpreter (the zero Config's evaluator): the hot
+// path is behavior.Eval's Env calls, which resolve pin/state/param
+// names by scanning the machine's slot lists.
 func BenchmarkInterpreterEval(b *testing.B) {
 	benchEval(b, Config{})
 }

@@ -2,9 +2,12 @@ package sim
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/block"
+	"repro/internal/designs"
+	"repro/internal/graph"
 	"repro/internal/netlist"
 )
 
@@ -106,19 +109,105 @@ func TestCompiledMatchesInterpreterOnRandomStimuli(t *testing.T) {
 	}
 }
 
-// TestCompiledBuildsNoIndexTables: the name→index tables serve only
-// the interpreter's Env, so a compiled simulator builds none, while an
-// interpreting one has them for every inner block.
-func TestCompiledBuildsNoIndexTables(t *testing.T) {
+// TestEveryInnerBlockRunsAMemoizedMachine: both evaluators run every
+// inner block on a behavior.Machine whose program comes from the
+// process-wide compile memo, so a second simulator of the same design
+// compiles nothing.
+func TestEveryInnerBlockRunsAMemoizedMachine(t *testing.T) {
+	d := garage(t)
+	g := d.Graph()
 	for _, compiled := range []bool{false, true} {
-		s, err := New(garage(t), Config{Compiled: compiled})
+		s, err := New(d, Config{Compiled: compiled})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, rt := range s.insts {
-			if hasIdx, inner := rt.idx != nil, rt.prog != nil; hasIdx != (inner && !compiled) {
-				t.Errorf("compiled=%v: block %q has index tables %v", compiled, rt.name, hasIdx)
+			if hasMachine, inner := rt.machine != nil, g.Role(rt.id) == graph.RoleInner; hasMachine != inner {
+				t.Errorf("compiled=%v: block %q has a machine %v, is inner %v", compiled, rt.name, hasMachine, inner)
 			}
 		}
+	}
+	for _, id := range d.InnerBlocks() {
+		if _, ok := compiledMemo.Get(d.Program(id)); !ok {
+			t.Errorf("the program of %q is not in the compile memo", g.Name(id))
+		}
+	}
+	used := compiledMemo.Used()
+	for _, compiled := range []bool{false, true} {
+		if _, err := New(d, Config{Compiled: compiled}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grown := compiledMemo.Used() - used; grown > 0 {
+		t.Errorf("a second New of the same design compiled %d programs", grown)
+	}
+}
+
+// TestConcurrentSimulatorsMatchSequential: simulators on several
+// goroutines run the library designs at once, sharing each catalog
+// program's compiled form from the memo (they compile nothing the
+// sequential runs did not), and every trace equals the sequential
+// run's under both evaluators and both semantics.
+func TestConcurrentSimulatorsMatchSequential(t *testing.T) {
+	const workers = 4
+	type job struct {
+		entry designs.Entry
+		cfg   Config
+	}
+	run := func(j job) (string, error) {
+		d := j.entry.Build()
+		s, err := New(d, j.cfg)
+		if err != nil {
+			return "", err
+		}
+		if err := s.Stimulate(benchStimuli(d, 8)...); err != nil {
+			return "", err
+		}
+		if err := s.Run(600); err != nil {
+			return "", err
+		}
+		return s.Trace().String(), nil
+	}
+	var jobs []job
+	var want []string
+	for _, entry := range designs.Library() {
+		for _, cfg := range []Config{
+			{TraceAll: true},
+			{TraceAll: true, DeltaCycles: true},
+			{TraceAll: true, Compiled: true},
+			{TraceAll: true, DeltaCycles: true, Compiled: true},
+		} {
+			j := job{entry, cfg}
+			tr, err := run(j)
+			if err != nil {
+				t.Fatalf("%s: %v", entry.Name, err)
+			}
+			jobs, want = append(jobs, j), append(want, tr)
+		}
+	}
+	used := compiledMemo.Used()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Each worker starts at a different job, so different
+			// designs and evaluators overlap.
+			for k := range jobs {
+				i := (k + w*len(jobs)/workers) % len(jobs)
+				got, err := run(jobs[i])
+				if err != nil {
+					t.Errorf("%s %+v: %v", jobs[i].entry.Name, jobs[i].cfg, err)
+					return
+				}
+				if got != want[i] {
+					t.Errorf("%s %+v: concurrent trace differs from the sequential one", jobs[i].entry.Name, jobs[i].cfg)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if grown := compiledMemo.Used() - used; grown > 0 {
+		t.Errorf("concurrent simulators compiled %d programs of their own", grown)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/behavior"
 	"repro/internal/graph"
+	"repro/internal/memo"
 	"repro/internal/netlist"
 )
 
@@ -38,9 +39,12 @@ type Config struct {
 	// asynchronous protocol with per-wire delays.
 	DeltaCycles bool `json:"deltaCycles,omitempty"`
 	// Compiled evaluates block behaviors on the bytecode VM instead of
-	// the tree-walking interpreter. Semantics are identical (enforced
-	// by property tests); large-network simulations run several times
-	// faster.
+	// the tree-walking interpreter. Both run over the same per-block
+	// machine slots and have identical semantics (enforced by property
+	// tests); the interpreter is the reference the VM is checked
+	// against, and large-network simulations run several times faster
+	// on the VM. Every production path (the service, eblocksim and
+	// verification) sets it.
 	Compiled bool `json:"compiled,omitempty"`
 	// MaxTraceEvents bounds how many changes a run may emit into its
 	// trace sink; 0 means unbounded. It exists for buffered-mode
@@ -124,22 +128,22 @@ type Simulator struct {
 	emitted   int
 	insts     []*instRT
 	levels    []int
+	// step runs one block's behavior: Machine.Step on the VM or
+	// Machine.Interpret on the interpreter (Config.Compiled).
+	step func(*behavior.Machine, behavior.Host) error
 }
 
 // instRT is the runtime state of one block instance.
 type instRT struct {
 	id      graph.NodeID
 	name    string
-	prog    *behavior.Program // nil for sensors and primary outputs
-	idx     *progIndex        // name→index tables; nil unless interpreting
-	inputs  []int64           // current value per input pin
-	prevIn  []int64           // per-pin value at previous evaluation
-	outputs []int64           // latched value per output pin
-	outPrev []int64           // pre-evaluation output snapshot (scratch)
-	// state/params are dense slices in the program's declaration order;
-	// idx maps the names the interpreter passes to their slots.
-	state  []int64
-	params []int64
+	inputs  []int64 // current value per input pin
+	prevIn  []int64 // per-pin value at previous evaluation
+	outputs []int64 // latched value per output pin
+	outPrev []int64 // pre-evaluation output snapshot (scratch)
+	// machine holds the block's behavior slots (state and parameters
+	// included); nil for sensors and primary outputs.
+	machine *behavior.Machine
 	// fired holds the timer tags that triggered the current evaluation
 	// (nil when none did — the common case pays no allocation).
 	fired map[int]bool
@@ -148,43 +152,31 @@ type instRT struct {
 	// accumulates timer tags to deliver with it.
 	evalAt       int64
 	pendingFired map[int]bool
-	// machine is the compiled evaluator (Config.Compiled); nil when
-	// interpreting.
-	machine *behavior.Machine
 	// env plumbing set during an evaluation
 	sim *Simulator
 }
 
-// progIndex is a behavior program's name→index tables: input and
-// output pin positions plus state/param slots in declaration order.
-// Only the interpreter's Env resolves names, so sim.New builds the
-// tables per instance when it interprets; the compiled VM addresses
-// slots directly and needs none. With them, the Env calls cost one map
-// probe instead of a linear scan per access.
-type progIndex struct {
-	in, out, state, param map[string]int
-}
+// compiledMemo holds each behavior program's bytecode by program
+// identity. Programs are immutable by convention and most blocks run
+// their type's one shared catalog program (block.Standard), so the
+// simulators of a process (verification builds two per request)
+// compile each program once instead of once per instance. A Compiled
+// is read-only, so simulators on many goroutines share it; each
+// instance owns its Machine. Budgeted by entry count.
+var compiledMemo = memo.New[*behavior.Program, *behavior.Compiled](compiledMemoEntries, nil)
 
-func newProgIndex(p *behavior.Program) *progIndex {
-	idx := &progIndex{
-		in:    make(map[string]int, len(p.Inputs)),
-		out:   make(map[string]int, len(p.Outputs)),
-		state: make(map[string]int, len(p.States)),
-		param: make(map[string]int, len(p.Params)),
+const compiledMemoEntries = 4096
+
+func compile(p *behavior.Program) (*behavior.Compiled, error) {
+	if c, ok := compiledMemo.Get(p); ok {
+		return c, nil
 	}
-	for i, n := range p.Inputs {
-		idx.in[n] = i
+	c, err := behavior.Compile(p)
+	if err != nil {
+		return nil, err
 	}
-	for i, n := range p.Outputs {
-		idx.out[n] = i
-	}
-	for i, d := range p.States {
-		idx.state[d.Name] = i
-	}
-	for i, d := range p.Params {
-		idx.param[d.Name] = i
-	}
-	return idx
+	compiledMemo.Put(p, c)
+	return c, nil
 }
 
 // New builds a simulator for the design. The design must validate.
@@ -192,7 +184,10 @@ func New(d *netlist.Design, cfg Config) (*Simulator, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	s := &Simulator{design: d, cfg: cfg}
+	s := &Simulator{design: d, cfg: cfg, step: (*behavior.Machine).Interpret}
+	if cfg.Compiled {
+		s.step = (*behavior.Machine).Step
+	}
 	s.sink = &s.trace
 	g := d.Graph()
 	levels, err := g.Levels()
@@ -213,33 +208,19 @@ func New(d *netlist.Design, cfg Config) (*Simulator, error) {
 			sim:     s,
 		}
 		if g.Role(id) == graph.RoleInner {
-			rt.prog = d.Program(id)
-			if rt.prog == nil {
+			prog := d.Program(id)
+			if prog == nil {
 				return nil, fmt.Errorf("sim: inner block %q has no behavior program", rt.name)
 			}
-			rt.state = make([]int64, len(rt.prog.States))
-			for i, st := range rt.prog.States {
-				rt.state[i] = st.Init
+			compiled, err := compile(prog)
+			if err != nil {
+				return nil, fmt.Errorf("sim: compiling %q: %w", rt.name, err)
 			}
-			rt.params = make([]int64, len(rt.prog.Params))
-			for i, pd := range rt.prog.Params {
+			rt.machine = behavior.NewMachine(compiled)
+			for _, pd := range prog.Params {
 				if v, ok := d.Param(id, pd.Name); ok {
-					rt.params[i] = v
-				} else {
-					rt.params[i] = pd.Init
+					rt.machine.SetParam(pd.Name, v)
 				}
-			}
-			if cfg.Compiled {
-				compiled, err := behavior.Compile(rt.prog)
-				if err != nil {
-					return nil, fmt.Errorf("sim: compiling %q: %w", rt.name, err)
-				}
-				rt.machine = behavior.NewMachine(compiled)
-				for i, pd := range rt.prog.Params {
-					rt.machine.SetParam(pd.Name, rt.params[i])
-				}
-			} else {
-				rt.idx = newProgIndex(rt.prog)
 			}
 		}
 		s.insts[id] = rt
@@ -270,18 +251,13 @@ func (s *Simulator) settle() error {
 				rt.prevIn[pin] = v // suppress startup edges
 			}
 		}
-		switch {
-		case rt.machine != nil:
+		if rt.machine != nil {
 			copy(rt.machine.In, rt.inputs)
 			copy(rt.machine.Prev, rt.inputs) // suppress startup edges
-			if err := rt.machine.Step((*settleEnv)(rt)); err != nil {
+			if err := s.step(rt.machine, (*settleEnv)(rt)); err != nil {
 				return fmt.Errorf("sim: settling %q: %w", rt.name, err)
 			}
 			copy(rt.outputs, rt.machine.Out)
-		case rt.prog != nil:
-			if err := behavior.Eval(rt.prog, (*settleEnv)(rt)); err != nil {
-				return fmt.Errorf("sim: settling %q: %w", rt.name, err)
-			}
 		}
 	}
 	return nil
@@ -526,7 +502,7 @@ func (s *Simulator) deliverPacket(ev event) error {
 
 func (s *Simulator) fireTimer(ev event) error {
 	rt := s.insts[ev.node]
-	if rt.prog == nil {
+	if rt.machine == nil {
 		return fmt.Errorf("sim: timer fired on non-compute block %q", rt.name)
 	}
 	if s.cfg.DeltaCycles {
@@ -561,15 +537,11 @@ func (s *Simulator) evaluate(rt *instRT, fired map[int]bool) error {
 	rt.fired = fired // nil when no timer triggered this evaluation
 	before := rt.outPrev
 	copy(before, rt.outputs)
-	if rt.machine != nil {
-		copy(rt.machine.In, rt.inputs)
-		if err := rt.machine.Step((*runEnv)(rt)); err != nil {
-			return fmt.Errorf("sim: evaluating %q: %w", rt.name, err)
-		}
-		copy(rt.outputs, rt.machine.Out)
-	} else if err := behavior.Eval(rt.prog, (*runEnv)(rt)); err != nil {
+	copy(rt.machine.In, rt.inputs)
+	if err := s.step(rt.machine, (*runEnv)(rt)); err != nil {
 		return fmt.Errorf("sim: evaluating %q: %w", rt.name, err)
 	}
+	copy(rt.outputs, rt.machine.Out)
 	copy(rt.prevIn, rt.inputs)
 	for pin, v := range rt.outputs {
 		if v != before[pin] {
@@ -584,54 +556,10 @@ func (s *Simulator) evaluate(rt *instRT, fired map[int]bool) error {
 	return nil
 }
 
-// --- behavior.Env implementations -----------------------------------
+// --- behavior.Host implementations ---------------------------------
 
-// runEnv adapts instRT to behavior.Env during normal evaluation. Name
-// resolution goes through the program's precomputed index tables
-// (progIndex) — one map probe instead of the linear pin scan the
-// interpreter hot path used to pay per access — and state/params live
-// in dense slices resolved the same way.
+// runEnv adapts instRT to behavior.Host during normal evaluation.
 type runEnv instRT
-
-func (e *runEnv) Input(name string) (int64, bool) {
-	if pin, ok := e.idx.in[name]; ok {
-		return e.inputs[pin], true
-	}
-	return 0, false
-}
-
-func (e *runEnv) PrevInput(name string) (int64, bool) {
-	if pin, ok := e.idx.in[name]; ok {
-		return e.prevIn[pin], true
-	}
-	return 0, false
-}
-
-func (e *runEnv) SetOutput(name string, v int64) {
-	if pin, ok := e.idx.out[name]; ok {
-		e.outputs[pin] = v
-	}
-}
-
-func (e *runEnv) State(name string) int64 {
-	if i, ok := e.idx.state[name]; ok {
-		return e.state[i]
-	}
-	return 0
-}
-
-func (e *runEnv) SetState(name string, v int64) {
-	if i, ok := e.idx.state[name]; ok {
-		e.state[i] = v
-	}
-}
-
-func (e *runEnv) Param(name string) (int64, bool) {
-	if i, ok := e.idx.param[name]; ok {
-		return e.params[i], true
-	}
-	return 0, false
-}
 
 func (e *runEnv) Schedule(tag int, delay int64) {
 	if delay < 1 {
@@ -658,17 +586,11 @@ func (e *runEnv) Schedule(tag int, delay int64) {
 func (e *runEnv) TimerFired(tag int) bool { return e.fired != nil && e.fired[tag] }
 func (e *runEnv) Now() int64              { return e.sim.now }
 
-// settleEnv is the power-up environment: identical to runEnv except
-// that timers requested during settling are scheduled relative to t=0
-// and no timer flags are set.
+// settleEnv is the power-up host: identical to runEnv except that
+// timers requested during settling are scheduled relative to t=0 and
+// no timer flags are set.
 type settleEnv instRT
 
-func (e *settleEnv) Input(name string) (int64, bool)     { return (*runEnv)(e).Input(name) }
-func (e *settleEnv) PrevInput(name string) (int64, bool) { return (*runEnv)(e).PrevInput(name) }
-func (e *settleEnv) SetOutput(name string, v int64)      { (*runEnv)(e).SetOutput(name, v) }
-func (e *settleEnv) State(name string) int64             { return (*runEnv)(e).State(name) }
-func (e *settleEnv) SetState(name string, v int64)       { (*runEnv)(e).SetState(name, v) }
-func (e *settleEnv) Param(name string) (int64, bool)     { return (*runEnv)(e).Param(name) }
-func (e *settleEnv) Schedule(tag int, delay int64)       { (*runEnv)(e).Schedule(tag, delay) }
-func (e *settleEnv) TimerFired(tag int) bool             { return false }
-func (e *settleEnv) Now() int64                          { return 0 }
+func (e *settleEnv) Schedule(tag int, delay int64) { (*runEnv)(e).Schedule(tag, delay) }
+func (e *settleEnv) TimerFired(tag int) bool       { return false }
+func (e *settleEnv) Now() int64                    { return 0 }

@@ -117,11 +117,8 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 			Outputs: append([]int64{}, rt.outputs...),
 			EvalAt:  rt.evalAt,
 		}
-		switch {
-		case rt.machine != nil:
+		if rt.machine != nil {
 			si.State = rt.machine.States()
-		case rt.prog != nil:
-			si.State = append([]int64{}, rt.state...)
 		}
 		for tag := range rt.pendingFired {
 			si.PendingFired = append(si.PendingFired, tag)
@@ -227,18 +224,12 @@ func Restore(d *netlist.Design, cfg Config, data []byte) (*Simulator, error) {
 				rt.pendingFired[tag] = true
 			}
 		}
-		switch {
-		case rt.machine != nil:
+		if rt.machine != nil {
 			if err := rt.machine.SetStates(si.State); err != nil {
 				return nil, fmt.Errorf("sim: snapshot: block %q: %w", si.Block, err)
 			}
 			copy(rt.machine.Prev, rt.prevIn)
 			copy(rt.machine.Out, rt.outputs)
-		case rt.prog != nil:
-			if len(si.State) != len(rt.state) {
-				return nil, fmt.Errorf("sim: snapshot: state count mismatch on %q", si.Block)
-			}
-			copy(rt.state, si.State)
 		}
 	}
 	if len(seen) != len(s.insts) {

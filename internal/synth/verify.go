@@ -149,8 +149,10 @@ func Verify(original, synthesized *netlist.Design, opts VerifyOptions) ([]Mismat
 	// equal networks with different structural depths (an original
 	// design and its synthesized counterpart) cannot diverge through
 	// combinational path skew. The paper's model explicitly abstracts
-	// such timing away (Section 3.1).
-	cfg := sim.Config{DeltaCycles: true, MaxEvents: opts.MaxEvents}
+	// such timing away (Section 3.1). Both run on the bytecode VM, the
+	// one production evaluator; the outcome cannot depend on it, since
+	// the property tests hold the VM equal to the interpreter.
+	cfg := sim.Config{DeltaCycles: true, MaxEvents: opts.MaxEvents, Compiled: true}
 	so, err := sim.New(original, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("synth: verify: original: %w", err)
