@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -19,29 +20,31 @@ func Aggregation(g *graph.Graph, c Constraints) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	levels, err := g.Levels()
+	ws := getWorkspace()
+	levels, err := g.LevelsWith(&ws.lv)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Algorithm: "aggregation"}
-	free := graph.NewNodeSet(g.PartitionableNodes()...)
-	ev := NewEvaluator(g)
-	var nbScratch []graph.NodeID
+	seeds, free := ws.partitionable(g)
+	ev := &ws.ev
+	ev.bind(g)
+	nbScratch := ws.nb[:0]
 
 	// Seed order: inner nodes adjacent to a primary input first (the
 	// paper's "list of inner nodes connected to a primary input"), then
 	// the rest; within each class, by level then ID for determinism.
-	seeds := append([]graph.NodeID(nil), g.PartitionableNodes()...)
-	sort.Slice(seeds, func(i, j int) bool {
-		a, b := seeds[i], seeds[j]
-		sa, sb := sensorAdjacent(g, a), sensorAdjacent(g, b)
-		if sa != sb {
-			return sa
+	slices.SortFunc(seeds, func(a, b graph.NodeID) int {
+		if sa, sb := sensorAdjacent(g, a), sensorAdjacent(g, b); sa != sb {
+			if sa {
+				return -1
+			}
+			return 1
 		}
-		if levels[a] != levels[b] {
-			return levels[a] < levels[b]
+		if c := cmp.Compare(levels[a], levels[b]); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 
 	for _, seed := range seeds {
@@ -79,6 +82,8 @@ func Aggregation(g *graph.Graph, c Constraints) (*Result, error) {
 		}
 	}
 	res.Uncovered = uncoveredFrom(g, res.Partitions)
+	ws.nb = nbScratch
+	ws.put()
 	return res, nil
 }
 
@@ -93,20 +98,21 @@ func sensorAdjacent(g *graph.Graph, id graph.NodeID) bool {
 }
 
 // clusterNeighbors appends the free inner nodes adjacent to the
-// cluster to dst, in ascending ID order.
+// cluster to dst, in ascending ID order and each once.
 func clusterNeighbors(g *graph.Graph, cluster, free graph.NodeSet, dst []graph.NodeID) []graph.NodeID {
-	set := graph.NewNodeSet()
+	start := len(dst)
 	cluster.ForEach(func(id graph.NodeID) {
 		for _, m := range g.SuccessorsView(id) {
 			if free.Has(m) && !cluster.Has(m) {
-				set.Add(m)
+				dst = append(dst, m)
 			}
 		}
 		for _, m := range g.PredecessorsView(id) {
 			if free.Has(m) && !cluster.Has(m) {
-				set.Add(m)
+				dst = append(dst, m)
 			}
 		}
 	})
-	return set.AppendSorted(dst)
+	slices.Sort(dst[start:])
+	return dst[:start+len(slices.Compact(dst[start:]))]
 }

@@ -14,14 +14,15 @@ type portIndex struct {
 	n    int     // total output ports
 }
 
-func newPortIndex(g *graph.Graph) portIndex {
-	base := make([]int32, g.NumNodes())
+// index numbers g's output ports, reusing px's storage.
+func (px *portIndex) index(g *graph.Graph) {
+	px.base = sized(px.base, g.NumNodes())
 	n := int32(0)
-	for _, id := range g.NodeIDs() {
-		base[id] = n
-		n += int32(g.NumOut(id))
+	for id := range px.base {
+		px.base[id] = n
+		n += int32(g.NumOut(graph.NodeID(id)))
 	}
-	return portIndex{base: base, n: int(n)}
+	px.n = int(n)
 }
 
 func (px portIndex) id(p graph.Port) int32 { return px.base[p.Node] + int32(p.Pin) }
@@ -52,25 +53,25 @@ type Evaluator struct {
 
 // NewEvaluator returns an empty evaluator over g.
 func NewEvaluator(g *graph.Graph) *Evaluator {
-	px := newPortIndex(g)
-	return &Evaluator{
-		g:       g,
-		px:      px,
-		members: graph.NewNodeSet(),
-		extIn:   make([]int32, px.n),
-		outLv:   make([]int32, px.n),
-	}
+	ev := &Evaluator{members: graph.NewNodeSet()}
+	ev.bind(g)
+	return ev
+}
+
+// bind makes ev an empty evaluator over g, reusing its storage.
+func (ev *Evaluator) bind(g *graph.Graph) {
+	ev.g = g
+	ev.px.index(g)
+	ev.extIn = sized(ev.extIn, ev.px.n)
+	ev.outLv = sized(ev.outLv, ev.px.n)
+	ev.Reset()
 }
 
 // Reset empties the candidate, keeping the allocated storage.
 func (ev *Evaluator) Reset() {
 	ev.members.Clear()
-	for i := range ev.extIn {
-		ev.extIn[i] = 0
-	}
-	for i := range ev.outLv {
-		ev.outLv[i] = 0
-	}
+	clear(ev.extIn)
+	clear(ev.outLv)
 	ev.inputs, ev.outputs = 0, 0
 }
 

@@ -80,7 +80,8 @@ func Exhaustive(g *graph.Graph, c Constraints, opts ExhaustiveOptions) (*Result,
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	inner := g.PartitionableNodes()
+	ws := getWorkspace()
+	inner, _ := ws.partitionable(g)
 	n := len(inner)
 	res := &Result{Algorithm: "exhaustive"}
 
@@ -110,8 +111,8 @@ func Exhaustive(g *graph.Graph, c Constraints, opts ExhaustiveOptions) (*Result,
 		}
 	}
 
-	shared := &exShared{}
-	shared.bound.Store(int64(initBest))
+	ws.shared.bound.Store(int64(initBest))
+	s := ws.s.bind(g, c, opts, inner, &ws.shared)
 
 	workers := opts.Workers
 	if workers <= 0 {
@@ -121,62 +122,20 @@ func Exhaustive(g *graph.Graph, c Constraints, opts ExhaustiveOptions) (*Result,
 		workers = 1
 	}
 
-	// Fan the shallow levels of the search tree out as tasks. The
-	// sequential search is the one-task special case.
-	tasks := [][]int8{nil}
-	var visited int64
-	if workers > 1 {
-		enum := newExSearcher(g, c, opts, inner, shared)
-		enum.best, enum.bestCovered = initBest, initCovered
-		tasks = enum.enumerateTasks(4 * workers)
-		visited += enum.visited
-	}
-
-	results := make([]exTaskResult, len(tasks))
-	var nextTask atomic.Int64
-	var firstErr error
-	var errMu sync.Mutex
-	run := func() {
-		s := newExSearcher(g, c, opts, inner, shared)
-		defer func() { atomic.AddInt64(&visited, s.visited) }()
-		for {
-			t := int(nextTask.Add(1) - 1)
-			if t >= len(tasks) {
-				return
-			}
-			s.replay(tasks[t])
-			s.best, s.bestCovered = initBest, initCovered
-			s.bestParts, s.found = nil, false
-			if err := s.search(len(tasks[t])); err != nil {
-				// A failed search left s mid-branch; the searcher is
-				// abandoned, not unwound.
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			results[t] = exTaskResult{found: s.found, cost: s.best, covered: s.bestCovered, parts: s.bestParts}
-			s.unreplay(tasks[t])
-		}
-	}
-	if workers == 1 || len(tasks) <= 1 {
-		run()
+	// The sequential search is one task, the whole tree, searched
+	// inline; a parallel search fans the tree's shallow levels out.
+	var results []exTaskResult
+	var err error
+	if workers == 1 {
+		var r exTaskResult
+		r, err = s.task(nil, initBest, initCovered)
+		res.NodesVisited = s.visited
+		results = []exTaskResult{r}
 	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run()
-			}()
-		}
-		wg.Wait()
+		results, res.NodesVisited, err = s.fanOut(workers, initBest, initCovered)
 	}
-	res.NodesVisited = visited
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 
 	// Merge task results in task order with the sequential search's
@@ -198,7 +157,48 @@ func Exhaustive(g *graph.Graph, c Constraints, opts ExhaustiveOptions) (*Result,
 	}
 	res.Partitions = parts
 	res.Uncovered = uncoveredFrom(g, parts)
+	ws.put()
 	return res, nil
+}
+
+// fanOut searches the tree as subtree tasks on a pool of workers:
+// s, idle, expands the shallow levels breadth-first into at least
+// 4*workers tasks against the initial incumbent (best, covered), and
+// each worker searches tasks on a workspace of its own, all sharing
+// s's bound. It returns every task's incumbent in task order and the
+// nodes visited in all.
+func (s *exSearcher) fanOut(workers, best, covered int) ([]exTaskResult, int64, error) {
+	s.best, s.bestCovered = best, covered
+	tasks := s.enumerateTasks(4 * workers)
+	results := make([]exTaskResult, len(tasks))
+	visited := s.visited
+	var next atomic.Int64
+	var firstErr error
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(tasks)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws := getWorkspace()
+			ts := ws.s.bind(s.g, s.c, s.opts, s.inner, s.shared)
+			var err error
+			for t := int(next.Add(1) - 1); t < len(tasks) && err == nil; t = int(next.Add(1) - 1) {
+				results[t], err = ts.task(tasks[t], best, covered)
+			}
+			mu.Lock()
+			visited += ts.visited
+			if firstErr == nil {
+				firstErr = err
+			}
+			mu.Unlock()
+			if err == nil {
+				ws.put()
+			}
+		}()
+	}
+	wg.Wait()
+	return results, visited, firstErr
 }
 
 // errSeedStands reports that the seeded InitialBound could not be
@@ -288,20 +288,17 @@ type exSearcher struct {
 	epoch    int64
 }
 
-func newExSearcher(g *graph.Graph, c Constraints, opts ExhaustiveOptions, inner []graph.NodeID, shared *exShared) *exSearcher {
-	px := newPortIndex(g)
-	s := &exSearcher{
-		g:        g,
-		c:        c,
-		opts:     opts,
-		inner:    inner,
-		pos:      make([]int32, g.NumNodes()),
-		px:       px,
-		shared:   shared,
-		groupOf:  make([]int32, g.NumNodes()),
-		stampIn:  make([]int64, px.n),
-		stampOut: make([]int64, px.n),
-	}
+// bind makes s an idle searcher over g's partitionable nodes inner,
+// reusing its storage: every array is sized and reset for g, no group
+// is open, and every pooled group record is zeroed for g's ports.
+func (s *exSearcher) bind(g *graph.Graph, c Constraints, opts ExhaustiveOptions, inner []graph.NodeID, shared *exShared) *exSearcher {
+	s.g, s.c, s.opts, s.inner, s.shared = g, c, opts, inner, shared
+	s.px.index(g)
+	s.pos = sized(s.pos, g.NumNodes())
+	s.groupOf = sized(s.groupOf, g.NumNodes())
+	s.stampIn = sized(s.stampIn, s.px.n)
+	s.stampOut = sized(s.stampOut, s.px.n)
+	s.epoch = 0
 	for i := range s.pos {
 		s.pos[i] = math.MaxInt32
 		if g.Role(graph.NodeID(i)) != graph.RoleInner {
@@ -312,7 +309,37 @@ func newExSearcher(g *graph.Graph, c Constraints, opts ExhaustiveOptions, inner 
 	for i, id := range inner {
 		s.pos[id] = int32(i)
 	}
+	s.groups = s.groups[:0]
+	for _, grp := range s.free {
+		grp.reset(s.px.n)
+	}
+	s.unassigned, s.visited = 0, 0
+	s.best, s.bestCovered, s.bestParts, s.found = 0, 0, nil, false
 	return s
+}
+
+// reset empties grp and sizes its counters for n ports.
+func (grp *exGroup) reset(n int) {
+	grp.members.Clear()
+	grp.size, grp.inputs, grp.outputs = 0, 0, 0
+	grp.extIn = sized(grp.extIn, n)
+	grp.outLv = sized(grp.outLv, n)
+}
+
+// task searches the subtree below a decision prefix against the
+// incumbent (best, covered) every task starts from, then undoes the
+// prefix. An error (cancellation) returns at once and leaves s
+// mid-branch: the caller abandons the searcher, with its workspace,
+// instead of unwinding it.
+func (s *exSearcher) task(prefix []int8, best, covered int) (exTaskResult, error) {
+	s.replay(prefix)
+	s.best, s.bestCovered = best, covered
+	s.bestParts, s.found = nil, false
+	if err := s.search(len(prefix)); err != nil {
+		return exTaskResult{}, err
+	}
+	s.unreplay(prefix)
+	return exTaskResult{found: s.found, cost: s.best, covered: s.bestCovered, parts: s.bestParts}, nil
 }
 
 // addIn counts one more permanent edge from external port p into the

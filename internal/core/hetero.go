@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/block"
 	"repro/internal/graph"
@@ -91,7 +90,8 @@ func PareDownHetero(g *graph.Graph, p HeteroProblem, opts PareDownOptions) (*Het
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	levels, err := g.Levels()
+	ws := getWorkspace()
+	levels, err := g.LevelsWith(&ws.lv)
 	if err != nil {
 		return nil, err
 	}
@@ -105,16 +105,12 @@ func PareDownHetero(g *graph.Graph, p HeteroProblem, opts PareDownOptions) (*Het
 		}
 	}
 	res := &HeteroResult{}
-	blocks := graph.NewNodeSet(g.PartitionableNodes()...)
-	ev := NewEvaluator(g)
-	rk := newRanker(ev, levels, opts.DisableTieBreaks)
-	accepted := func() []graph.NodeSet {
-		out := make([]graph.NodeSet, len(res.Assignments))
-		for i, a := range res.Assignments {
-			out[i] = a.Partition
-		}
-		return out
-	}
+	_, blocks := ws.partitionable(g)
+	ev := &ws.ev
+	ev.bind(g)
+	rk := &ws.rk
+	rk.bind(ev, levels, opts.DisableTieBreaks)
+	var accepted []graph.NodeSet // the assignments' partitions
 
 	for blocks.Len() > 0 {
 		rk.reset(blocks)
@@ -122,12 +118,11 @@ func PareDownHetero(g *graph.Graph, p HeteroProblem, opts PareDownOptions) (*Het
 		for ev.Len() > 0 {
 			res.FitChecks++
 			choice, ok := cheapestFitIO(g, ev.IO(), candidate, p)
-			if ok && pareAcyclicWith(g, Constraints{MaxInputs: loosest.MaxInputs, MaxOutputs: loosest.MaxOutputs, RequireConvex: p.RequireConvex}, accepted(), candidate) {
+			if ok && pareAcyclicWith(g, loosest, accepted, candidate) {
 				if choice.Cost < float64(ev.Len())*p.PredefCost {
-					res.Assignments = append(res.Assignments, HeteroAssignment{
-						Partition: candidate.Clone(),
-						Choice:    choice,
-					})
+					part := candidate.Clone()
+					res.Assignments = append(res.Assignments, HeteroAssignment{Partition: part, Choice: choice})
+					accepted = append(accepted, part)
 				}
 				candidate.ForEach(blocks.Remove)
 				break
@@ -141,7 +136,8 @@ func PareDownHetero(g *graph.Graph, p HeteroProblem, opts PareDownOptions) (*Het
 			rk.remove(rk.pick().Node)
 		}
 	}
-	res.Uncovered = uncoveredFromHetero(g, res.Assignments)
+	res.Uncovered = uncoveredFrom(g, accepted)
+	ws.put()
 	return res, nil
 }
 
@@ -153,30 +149,17 @@ func cheapestFitIO(g *graph.Graph, io IO, set graph.NodeSet, p HeteroProblem) (B
 	if p.RequireConvex && !g.IsConvex(set) {
 		return BlockChoice{}, false
 	}
-	fitting := make([]BlockChoice, 0, len(p.Choices))
+	var best BlockChoice
+	found := false
 	for _, ch := range p.Choices {
-		if io.Inputs <= ch.MaxInputs && io.Outputs <= ch.MaxOutputs {
-			fitting = append(fitting, ch)
+		if io.Inputs > ch.MaxInputs || io.Outputs > ch.MaxOutputs {
+			continue
+		}
+		if !found || ch.Cost < best.Cost || (ch.Cost == best.Cost && ch.Name < best.Name) {
+			best, found = ch, true
 		}
 	}
-	if len(fitting) == 0 {
-		return BlockChoice{}, false
-	}
-	sort.Slice(fitting, func(i, j int) bool {
-		if fitting[i].Cost != fitting[j].Cost {
-			return fitting[i].Cost < fitting[j].Cost
-		}
-		return fitting[i].Name < fitting[j].Name
-	})
-	return fitting[0], true
-}
-
-func uncoveredFromHetero(g *graph.Graph, assignments []HeteroAssignment) []graph.NodeID {
-	parts := make([]graph.NodeSet, len(assignments))
-	for i, a := range assignments {
-		parts[i] = a.Partition
-	}
-	return uncoveredFrom(g, parts)
+	return best, found
 }
 
 // Validate checks the heterogeneous result against the problem.

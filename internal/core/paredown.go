@@ -94,14 +94,17 @@ func PareDown(g *graph.Graph, c Constraints, opts PareDownOptions) (*Result, err
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	levels, err := g.Levels()
+	ws := getWorkspace()
+	levels, err := g.LevelsWith(&ws.lv)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Algorithm: "paredown"}
-	blocks := graph.NewNodeSet(g.PartitionableNodes()...)
-	ev := NewEvaluator(g)
-	rk := newRanker(ev, levels, opts.DisableTieBreaks)
+	_, blocks := ws.partitionable(g)
+	ev := &ws.ev
+	ev.bind(g)
+	rk := &ws.rk
+	rk.bind(ev, levels, opts.DisableTieBreaks)
 
 	for blocks.Len() > 0 {
 		// candidate <- blocks; the evaluator tracks its I/O demand and
@@ -155,6 +158,7 @@ func PareDown(g *graph.Graph, c Constraints, opts PareDownOptions) (*Result, err
 		}
 	}
 	res.Uncovered = uncoveredFrom(g, res.Partitions)
+	ws.put()
 	return res, nil
 }
 
@@ -347,20 +351,18 @@ type ranker struct {
 	ports  []srcPort
 }
 
-func newRanker(ev *Evaluator, levels []int, noTieBreaks bool) *ranker {
+// bind makes rk the ranker of ev's candidate over ev's graph, reusing
+// its storage.
+func (rk *ranker) bind(ev *Evaluator, levels []int, noTieBreaks bool) {
 	g := ev.g
-	rk := &ranker{
-		ev:          ev,
-		noTieBreaks: noTieBreaks,
-		levels:      levels,
-		node:        make([]RankedNode, g.NumNodes()),
-		at:          make([]int32, g.NumNodes()),
-	}
+	rk.ev, rk.noTieBreaks, rk.levels = ev, noTieBreaks, levels
+	rk.node = sized(rk.node, g.NumNodes())
+	rk.at = sized(rk.at, g.NumNodes())
+	rk.border = rk.border[:0]
 	for i := range rk.node {
 		rk.node[i] = rankedNode(g, levels, graph.NodeID(i), 0)
 		rk.at[i] = -1
 	}
-	return rk
 }
 
 // reset makes blocks the candidate and ranks every member.

@@ -328,7 +328,8 @@ func TestRankerMatchesFromScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 		ev := NewEvaluator(g)
-		rk := newRanker(ev, levels, noTieBreaks)
+		rk := &ranker{}
+		rk.bind(ev, levels, noTieBreaks)
 		blocks := graph.NewNodeSet(g.PartitionableNodes()...)
 		for blocks.Len() > 0 {
 			rk.reset(blocks)
@@ -372,8 +373,11 @@ func TestRankerMatchesFromScratch(t *testing.T) {
 
 // TestPareDownAllocs bounds the allocations of the Section 5.2 scaling
 // run (465 inner blocks, the design of BenchmarkPareDownLargescale): a
-// pare step allocates nothing, so the count is set by the per-candidate
-// and per-partition storage alone.
+// pare step allocates nothing and the pooled workspace holds every
+// per-call array, so the count is set by the Result alone, nearly all
+// of it the partition clones: 210. The bound leaves room for the
+// fresh workspaces that sync.Pool's random drops under the race
+// detector can force (263 when both measured runs paid for one).
 func TestPareDownAllocs(t *testing.T) {
 	g := randgen.MustGenerate(randgen.Params{InnerBlocks: 465, Seed: 2005}).Graph()
 	allocs := testing.AllocsPerRun(2, func() {
@@ -381,7 +385,7 @@ func TestPareDownAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 5000 {
-		t.Fatalf("PareDown on 465 blocks made %.0f allocations, want at most 5000", allocs)
+	if allocs > 280 {
+		t.Fatalf("PareDown on 465 blocks made %.0f allocations, want at most 280", allocs)
 	}
 }

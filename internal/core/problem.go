@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/block"
 	"repro/internal/graph"
@@ -180,18 +180,15 @@ func (r *Result) Validate(g *graph.Graph, c Constraints) error {
 }
 
 // uncoveredFrom derives the Uncovered list: inner nodes of g not in any
-// partition, in ascending ID order.
+// partition, in ascending ID order. It tests each inner node against
+// every partition, a small share of any algorithm's run even on the
+// Section 5.2 scaling design, and allocates only the list.
 func uncoveredFrom(g *graph.Graph, parts []graph.NodeSet) []graph.NodeID {
-	covered := graph.NewNodeSet()
-	for _, p := range parts {
-		p.ForEach(covered.Add)
-	}
 	var out []graph.NodeID
-	for _, id := range g.InnerNodes() {
-		if !covered.Has(id) {
+	for id := graph.NodeID(0); int(id) < g.NumNodes(); id++ {
+		if g.Role(id) == graph.RoleInner && !slices.ContainsFunc(parts, func(p graph.NodeSet) bool { return p.Has(id) }) {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

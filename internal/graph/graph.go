@@ -461,14 +461,18 @@ func (g *Graph) Pinned(id NodeID) bool { return g.Valid(id) && g.nodes[id].pinne
 
 // PartitionableNodes returns the inner nodes that may join partitions
 // (inner and not pinned), in insertion order.
-func (g *Graph) PartitionableNodes() []NodeID {
-	var out []NodeID
+func (g *Graph) PartitionableNodes() []NodeID { return g.AppendPartitionableNodes(nil) }
+
+// AppendPartitionableNodes appends the partitionable nodes, in
+// insertion order, to dst and returns the extended slice; an
+// allocation-free PartitionableNodes for callers that reuse dst.
+func (g *Graph) AppendPartitionableNodes(dst []NodeID) []NodeID {
 	for i, nd := range g.nodes {
 		if nd.role == RoleInner && !nd.pinned {
-			out = append(out, NodeID(i))
+			dst = append(dst, NodeID(i))
 		}
 	}
-	return out
+	return dst
 }
 
 // PrimaryInputs returns the IDs of all sensor nodes.

@@ -53,13 +53,30 @@ func (g *Graph) TopoSort() ([]NodeID, error) {
 // also get level 0, matching the code generator's treatment of
 // constant-driven subtrees. The result is indexed by NodeID.
 func (g *Graph) Levels() ([]int, error) {
+	var s LevelScratch
+	return g.LevelsWith(&s)
+}
+
+// LevelScratch is reusable storage for LevelsWith: the level table and
+// the Kahn scratch. The zero value is ready to use.
+type LevelScratch struct {
+	lvl     []int
+	pending []int
+	order   []NodeID
+}
+
+// LevelsWith is Levels computed in s's storage, growing it as needed.
+// The returned table aliases s and is valid until s is used again.
+func (g *Graph) LevelsWith(s *LevelScratch) ([]int, error) {
 	// Kahn's algorithm over the adjacency index: a node's level is
 	// final once every in-edge has been relaxed, and any topological
 	// order yields the same levels.
 	n := len(g.nodes)
-	lvl := make([]int, n)
-	pending := make([]int, n)
-	order := make([]NodeID, 0, n)
+	if cap(s.lvl) < n {
+		s.lvl, s.pending, s.order = make([]int, n), make([]int, n), make([]NodeID, 0, n)
+	}
+	lvl, pending, order := s.lvl[:n], s.pending[:n], s.order[:0]
+	clear(lvl)
 	for i := range g.nodes {
 		if pending[i] = len(g.nodes[i].inAdj); pending[i] == 0 {
 			order = append(order, NodeID(i))
@@ -77,6 +94,7 @@ func (g *Graph) Levels() ([]int, error) {
 			}
 		}
 	}
+	s.order = order
 	if len(order) != n {
 		return nil, fmt.Errorf("graph: cycle detected (%d of %d nodes ordered)", len(order), n)
 	}

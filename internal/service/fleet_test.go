@@ -132,6 +132,31 @@ func TestFleetSharedOrigin(t *testing.T) {
 	}
 }
 
+// TestPersistDesignOncePerStore: an inline simulate persists its
+// design.v1 entry once. The identical second request finds the entry
+// in the worker's index, so it neither installs it again nor offers it
+// to the origin a second time.
+func TestPersistDesignOncePerStore(t *testing.T) {
+	svcA, _, _, tsB, stB, _ := newFleetPair(t)
+	req := SimulateJSONRequest{
+		Design: designJSON(t, "Night Lamp Controller"),
+		Script: "at 100 set motion 1\nat 5000 set motion 0\n",
+	}
+	putsBefore := stB.Stats().Puts
+	for i := 0; i < 2; i++ {
+		if resp, body := postJSON(t, tsB.URL+"/v1/simulate", req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("simulate %d: status %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	if got := stB.Stats().Puts - putsBefore; got != 1 {
+		t.Errorf("two identical inline simulates made %d store puts, want 1", got)
+	}
+	stB.Flush() // write-through to the origin runs asynchronously
+	if got := svcA.Stats().Store.OriginPuts; got != 1 {
+		t.Errorf("origin saw %d PUTs, want 1", got)
+	}
+}
+
 // TestPrometheusMetricsEndpoint checks /metrics speaks the text
 // exposition format and agrees with /v1/stats.
 func TestPrometheusMetricsEndpoint(t *testing.T) {

@@ -160,12 +160,20 @@ func runSimulation(ctx context.Context, fingerprint, stimulusHash string, job Si
 }
 
 // PersistDesign writes the design document to the artifact store under
-// its fingerprint fp (netlist.Fingerprint of d; stage "design.v1").
-// Write failures are swallowed like every other store write:
+// its fingerprint fp (netlist.Fingerprint of d; stage "design.v1"),
+// unless the store's local index already holds that entry: entries
+// under one content address are interchangeable, and the origin keeps
+// the first copy it was offered. So a design whose first write-through
+// to the origin was dropped is not offered again while this store
+// holds it. Write failures are swallowed like every other store write:
 // persistence is an optimization, never a correctness dependency.
 func (s *Service) PersistDesign(fp string, d *netlist.Design) {
+	k := designStoreKey(fp)
+	if s.store.Holds(k) {
+		return
+	}
 	if raw, err := netlist.MarshalJSON(d); err == nil {
-		s.store.Put(designStoreKey(fp), raw)
+		s.store.Put(k, raw)
 	}
 }
 

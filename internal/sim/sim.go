@@ -128,6 +128,10 @@ type Simulator struct {
 	emitted   int
 	insts     []*instRT
 	levels    []int
+	// fingerprint is netlist.Fingerprint of design, computed by the
+	// first Snapshot (or handed over by Restore) and kept: the design
+	// does not change under a simulator.
+	fingerprint string
 	// step runs one block's behavior: Machine.Step on the VM or
 	// Machine.Interpret on the interpreter (Config.Compiled).
 	step func(*behavior.Machine, behavior.Host) error

@@ -72,9 +72,12 @@ type snapshotPayload struct {
 // are interchangeable (the two evaluators are semantically identical,
 // and Config.Canonical excludes the choice).
 func (s *Simulator) Snapshot() ([]byte, error) {
+	if s.fingerprint == "" {
+		s.fingerprint = netlist.Fingerprint(s.design)
+	}
 	p := snapshotPayload{
 		Version:     1,
-		Fingerprint: netlist.Fingerprint(s.design),
+		Fingerprint: s.fingerprint,
 		Config:      s.cfg.Canonical(),
 		Now:         s.now,
 		Processed:   s.processed,
@@ -183,7 +186,8 @@ func Restore(d *netlist.Design, cfg Config, data []byte) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fp := netlist.Fingerprint(d); fp != p.Fingerprint {
+	fp := netlist.Fingerprint(d)
+	if fp != p.Fingerprint {
 		return nil, fmt.Errorf("sim: snapshot: design fingerprint %s does not match snapshot %s", fp, p.Fingerprint)
 	}
 	if c := cfg.Canonical(); c != p.Config {
@@ -193,6 +197,7 @@ func Restore(d *netlist.Design, cfg Config, data []byte) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.fingerprint = fp
 	g := d.Graph()
 
 	// Install per-block runtime state.

@@ -66,6 +66,31 @@ func TestRemoteReadThrough(t *testing.T) {
 	}
 }
 
+// TestHoldsIsLocalAndUncounted: Holds answers from the local index
+// alone. An entry only the origin has is not held, and asking counts
+// no lookup and sends nothing to the origin.
+func TestHoldsIsLocalAndUncounted(t *testing.T) {
+	origin, ts := newOrigin(t)
+	mustPut(t, origin, testKey(1), []byte("at the origin only"))
+	client := newTieredClient(t, ts.URL, RemoteOptions{})
+	defer client.Close()
+	mustPut(t, client, testKey(2), []byte("local"))
+
+	if client.Holds(testKey(1)) {
+		t.Error("Holds reported an entry only the origin has")
+	}
+	if !client.Holds(testKey(2)) {
+		t.Error("Holds missed a local entry")
+	}
+	st := client.Stats()
+	if n := st.MemoryHits + st.DiskHits + st.RemoteHits + st.Misses; n != 0 {
+		t.Errorf("Holds counted %d lookups", n)
+	}
+	if os := origin.Stats(); os.OriginGets != 0 {
+		t.Errorf("Holds sent %d gets to the origin", os.OriginGets)
+	}
+}
+
 func TestRemoteWriteThrough(t *testing.T) {
 	origin, ts := newOrigin(t)
 	client := newTieredClient(t, ts.URL, RemoteOptions{})

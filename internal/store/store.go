@@ -361,6 +361,16 @@ func (s *Store) Get(k Key) ([]byte, Tier, bool) {
 	return nil, TierNone, false
 }
 
+// Holds reports whether the local index holds an entry under k, as a
+// file or a resident payload. It reads no entry, counts no lookup and
+// never asks the remote tier.
+func (s *Store) Holds(k Key) bool {
+	id := k.id()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return !s.closed && s.index[id] != nil
+}
+
 // readDisk reads and verifies the file of id, which held generation
 // gen when the caller looked it up. The read runs outside the lock:
 // eviction may delete the file underneath it, which reads as a miss,
