@@ -8,24 +8,65 @@ import (
 // per-port demand counters can live in flat arrays instead of maps.
 // Both components of a partition's I/O demand are sets of *output*
 // ports: the external driver ports feeding members (Inputs) and the
-// member ports feeding non-members (Outputs).
+// member ports feeding non-members (Outputs). It also holds the two
+// static port tables rankOf reads instead of a node's edge lists: each
+// node's distinct driver ports, and each port's consumer count.
 type portIndex struct {
-	base []int32 // per node: first port id of its output ports
+	base []int32 // per node: first port id of its output ports; base[NumNodes] = n
 	n    int     // total output ports
+	// drivers[drvAt[id]:drvAt[id+1]] are the distinct output ports
+	// driving id's inputs, in order of first input pin.
+	drivers []driver
+	drvAt   []int32
+	cons    []int32 // per port: edges leaving it
 }
 
-// index numbers g's output ports, reusing px's storage.
+// driver is one distinct output port driving a node's inputs.
+type driver struct {
+	node graph.NodeID // the port's node
+	port int32        // the port's id
+	cnt  int32        // the driven node's in-edges from this port
+}
+
+// index numbers g's output ports and builds the driver and consumer
+// tables, reusing px's storage.
 func (px *portIndex) index(g *graph.Graph) {
-	px.base = sized(px.base, g.NumNodes())
+	nn := g.NumNodes()
+	px.base = sized(px.base, nn+1)
+	px.drvAt = sized(px.drvAt, nn+1)
+	px.drivers = px.drivers[:0]
 	n := int32(0)
-	for id := range px.base {
+	for id := range nn {
 		px.base[id] = n
 		n += int32(g.NumOut(graph.NodeID(id)))
 	}
-	px.n = int(n)
+	px.base[nn], px.n = n, int(n)
+	px.cons = sized(px.cons, px.n)
+	for id := range nn {
+		at := len(px.drivers)
+		px.drvAt[id] = int32(at)
+	edges:
+		for _, e := range g.InEdgesView(graph.NodeID(id)) {
+			p := px.id(e.From)
+			px.cons[p]++
+			for k := at; k < len(px.drivers); k++ {
+				if px.drivers[k].port == p {
+					px.drivers[k].cnt++
+					continue edges
+				}
+			}
+			px.drivers = append(px.drivers, driver{node: e.From.Node, port: p, cnt: 1})
+		}
+	}
+	px.drvAt[nn] = int32(len(px.drivers))
 }
 
-func (px portIndex) id(p graph.Port) int32 { return px.base[p.Node] + int32(p.Pin) }
+func (px *portIndex) id(p graph.Port) int32 { return px.base[p.Node] + int32(p.Pin) }
+
+// driversOf returns id's distinct driver ports.
+func (px *portIndex) driversOf(id graph.NodeID) []driver {
+	return px.drivers[px.drvAt[id]:px.drvAt[id+1]]
+}
 
 // Evaluator maintains the I/O demand of one candidate partition
 // incrementally: adding or removing a member costs O(degree of the
@@ -41,12 +82,18 @@ func (px portIndex) id(p graph.Port) int32 { return px.base[p.Node] + int32(p.Pi
 //     members; inputs counts ports with extIn[p] > 0.
 //   - outLv[p] is the number of edges from member output port p to
 //     non-members; outputs counts ports with outLv[p] > 0.
+//
+// It also keeps, for every node, inMem (its in-edges from members) and
+// outMem (its out-edges to members). A member is a border block, in
+// the paper's sense, exactly when one of the two is zero.
 type Evaluator struct {
 	g       *graph.Graph
 	px      portIndex
 	members graph.NodeSet
 	extIn   []int32
 	outLv   []int32
+	inMem   []int32
+	outMem  []int32
 	inputs  int
 	outputs int
 }
@@ -64,6 +111,8 @@ func (ev *Evaluator) bind(g *graph.Graph) {
 	ev.px.index(g)
 	ev.extIn = sized(ev.extIn, ev.px.n)
 	ev.outLv = sized(ev.outLv, ev.px.n)
+	ev.inMem = sized(ev.inMem, g.NumNodes())
+	ev.outMem = sized(ev.outMem, g.NumNodes())
 	ev.Reset()
 }
 
@@ -72,6 +121,8 @@ func (ev *Evaluator) Reset() {
 	ev.members.Clear()
 	clear(ev.extIn)
 	clear(ev.outLv)
+	clear(ev.inMem)
+	clear(ev.outMem)
 	ev.inputs, ev.outputs = 0, 0
 }
 
@@ -82,6 +133,7 @@ func (ev *Evaluator) Add(id graph.NodeID) {
 	}
 	for _, e := range ev.g.InEdgesView(id) {
 		p := ev.px.id(e.From)
+		ev.outMem[e.From.Node]++
 		if ev.members.Has(e.From.Node) {
 			// The member port stops feeding a non-member via this edge.
 			ev.outLv[p]--
@@ -97,6 +149,7 @@ func (ev *Evaluator) Add(id graph.NodeID) {
 	}
 	for _, e := range ev.g.OutEdgesView(id) {
 		p := ev.px.id(e.From)
+		ev.inMem[e.To.Node]++
 		if ev.members.Has(e.To.Node) {
 			// id stops being an external driver of this member.
 			ev.extIn[p]--
@@ -122,6 +175,7 @@ func (ev *Evaluator) Remove(id graph.NodeID) {
 	ev.members.Remove(id)
 	for _, e := range ev.g.InEdgesView(id) {
 		p := ev.px.id(e.From)
+		ev.outMem[e.From.Node]--
 		if ev.members.Has(e.From.Node) {
 			// The member port now feeds a non-member (id) via this edge.
 			ev.outLv[p]++
@@ -137,6 +191,7 @@ func (ev *Evaluator) Remove(id graph.NodeID) {
 	}
 	for _, e := range ev.g.OutEdgesView(id) {
 		p := ev.px.id(e.From)
+		ev.inMem[e.To.Node]--
 		if ev.members.Has(e.To.Node) {
 			// id becomes an external driver of this member.
 			ev.extIn[p]++
@@ -180,8 +235,3 @@ func (ev *Evaluator) Fits(c Constraints) bool {
 	}
 	return true
 }
-
-// extInCount and outLeavingCount expose the per-port demand counters to
-// rankOf's O(deg) rank computation.
-func (ev *Evaluator) extInCount(p graph.Port) int32      { return ev.extIn[ev.px.id(p)] }
-func (ev *Evaluator) outLeavingCount(p graph.Port) int32 { return ev.outLv[ev.px.id(p)] }

@@ -105,11 +105,11 @@ func PareDownHetero(g *graph.Graph, p HeteroProblem, opts PareDownOptions) (*Het
 		}
 	}
 	res := &HeteroResult{}
-	_, blocks := ws.partitionable(g)
+	inner, blocks := ws.partitionable(g)
 	ev := &ws.ev
 	ev.bind(g)
 	rk := &ws.rk
-	rk.bind(ev, levels, opts.DisableTieBreaks)
+	rk.bind(ev, levels, inner, opts.DisableTieBreaks)
 	var accepted []graph.NodeSet // the assignments' partitions
 
 	for blocks.Len() > 0 {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -100,11 +102,11 @@ func PareDown(g *graph.Graph, c Constraints, opts PareDownOptions) (*Result, err
 		return nil, err
 	}
 	res := &Result{Algorithm: "paredown"}
-	_, blocks := ws.partitionable(g)
+	inner, blocks := ws.partitionable(g)
 	ev := &ws.ev
 	ev.bind(g)
 	rk := &ws.rk
-	rk.bind(ev, levels, opts.DisableTieBreaks)
+	rk.bind(ev, levels, inner, opts.DisableTieBreaks)
 
 	for blocks.Len() > 0 {
 		// candidate <- blocks; the evaluator tracks its I/O demand and
@@ -180,8 +182,10 @@ func pareAcyclicWith(g *graph.Graph, c Constraints, accepted []graph.NodeSet, ca
 
 // rankOf computes member id's border status and, for a border block,
 // its rank: the change in the candidate's combined I/O demand if id
-// were removed. Against the evaluator's per-port counters the change
-// is
+// were removed. id is a border block when it has no in-edge from a
+// member or no out-edge to one (the evaluator's inMem and outMem
+// counters; graph.Border is the definition). Against the evaluator's
+// per-port counters the change is
 //
 //   - −1 for every external driver port all of whose edges into the
 //     candidate target id (the port stops being a partition input);
@@ -192,71 +196,33 @@ func pareAcyclicWith(g *graph.Graph, c Constraints, accepted []graph.NodeSet, ca
 //     no non-member (it becomes a partition output).
 //
 // This matches PartitionIO(C\{id}) − PartitionIO(C) exactly (verified
-// by a property test) at O(deg(id)) cost instead of O(|C| + |E|). It
-// is the one rank function: pareStep calls it on every member, the
-// ranker on the members a removal can affect. ports is scratch storage
-// for grouping in-edges by driver port.
-func rankOf(ev *Evaluator, id graph.NodeID, ports *[]srcPort) (rank int, border bool) {
-	g := ev.g
-	candidate := ev.Members()
-	if g.Border(candidate, id) == graph.NotBorder {
+// by a property test). It reads one counter per distinct driver port
+// and two per output port of id, from the port index's static driver
+// and consumer tables, so it walks no edge list. It is the one rank
+// function: pareStep calls it on every member, the ranker on the
+// members a removal can affect.
+func rankOf(ev *Evaluator, id graph.NodeID) (rank int, border bool) {
+	if ev.inMem[id] != 0 && ev.outMem[id] != 0 {
 		return 0, false
 	}
-	// Group this block's in-edges by driver port: external driver
-	// ports that fed only this block lower the rank; member ports that
-	// fed this block and nothing outside raise it.
-	ps := (*ports)[:0]
-	for _, e := range g.InEdgesView(id) {
-		found := false
-		for k := range ps {
-			if ps[k].port == e.From {
-				ps[k].cnt++
-				found = true
-				break
-			}
-		}
-		if !found {
-			ps = append(ps, srcPort{port: e.From, cnt: 1, internal: candidate.Has(e.From.Node)})
-		}
-	}
-	*ports = ps
-	for _, pc := range ps {
-		if pc.internal {
-			if ev.outLeavingCount(pc.port) == 0 {
+	for _, d := range ev.px.driversOf(id) {
+		if ev.members.Has(d.node) {
+			if ev.outLv[d.port] == 0 {
 				rank++
 			}
-		} else if ev.extInCount(pc.port) == pc.cnt {
+		} else if ev.extIn[d.port] == d.cnt {
 			rank--
 		}
 	}
-	// This block's own output ports (OutEdgesView is ordered by pin, so
-	// each pin's edges form one contiguous run).
-	oe := g.OutEdgesView(id)
-	for i := 0; i < len(oe); {
-		pin := oe[i].From.Pin
-		intoC, ext := 0, 0
-		for ; i < len(oe) && oe[i].From.Pin == pin; i++ {
-			if candidate.Has(oe[i].To.Node) {
-				intoC++
-			} else {
-				ext++
-			}
-		}
-		if ext > 0 {
+	for p := ev.px.base[id]; p < ev.px.base[id+1]; p++ {
+		if ev.outLv[p] > 0 {
 			rank-- // stops being a partition output
 		}
-		if intoC > 0 {
+		if ev.px.cons[p] > ev.outLv[p] {
 			rank++ // becomes an external driver port
 		}
 	}
 	return rank, true
-}
-
-// srcPort groups one border block's in-edges by driver output port.
-type srcPort struct {
-	port     graph.Port
-	cnt      int32
-	internal bool // driver is a candidate member
 }
 
 // rankedLess is the removal order: least rank first; ties go to the
@@ -295,11 +261,10 @@ func sortRanked(border []RankedNode, noTieBreaks bool) {
 func pareStep(g *graph.Graph, candidate graph.NodeSet, levels []int, noTieBreaks bool) (RankedNode, []RankedNode) {
 	ev := NewEvaluator(g)
 	ev.AddSet(candidate)
-	var ports []srcPort
 	var border []RankedNode
 	ids := candidate.Sorted()
 	for _, id := range ids {
-		if rank, ok := rankOf(ev, id, &ports); ok {
+		if rank, ok := rankOf(ev, id); ok {
 			border = append(border, rankedNode(g, levels, id, rank))
 		}
 	}
@@ -329,14 +294,24 @@ func highestLevel(g *graph.Graph, levels []int, ids []graph.NodeID) RankedNode {
 }
 
 // ranker keeps the rank and border status of every member of the
-// evaluator's candidate in NodeID-indexed slices, so a pare step picks
-// its removal with one scan over the border blocks instead of
-// re-ranking and sorting them. Removing block r changes only the ranks
-// that read r's membership or a port counter r's removal changes (see
-// the Evaluator invariants): those of r's drivers and r's consumers,
-// and of the other consumers of each port feeding r. remove refreshes
-// exactly those members. This is what keeps the 465-inner-node
-// experiment of Section 5.2 fast.
+// evaluator's candidate, so a pare step picks its removal from rank
+// buckets instead of re-ranking and sorting the border. Removing block
+// r changes only the ranks that read r's membership or a port counter
+// r's removal changes (see the Evaluator invariants): those of r's
+// drivers and r's consumers, and of the other consumers of each port
+// feeding r. remove refreshes exactly those members. This is what
+// keeps the 465-inner-node experiment of Section 5.2 fast.
+//
+// The buckets are a bucket queue over rankedLess. bind sorts the
+// bound nodes once by the static tie-break keys (rankedLess with equal
+// ranks), and each rank owns one bitset over that order; a border
+// block is one set bit in its rank's bitset. So the least border block
+// is the first set bit of the lowest non-empty bucket, and reading the
+// buckets in order yields the sorted border. Each distinct driver port
+// of a block moves its rank by at most one, and so does each of its
+// output pins, so |rank| <= span, the largest count of distinct driver
+// ports plus output pins over the bound nodes: ranks -span..span index
+// buckets 0..2*span.
 type ranker struct {
 	ev          *Evaluator
 	noTieBreaks bool
@@ -344,33 +319,59 @@ type ranker struct {
 	// node[id] holds id's rank (valid while id is a border block) and
 	// its static tie-break keys.
 	node []RankedNode
-	// border lists the candidate's border blocks in no particular
-	// order; at[id] is id's index in it, or -1.
-	border []graph.NodeID
-	at     []int32
-	ports  []srcPort
+	// order lists the bound nodes by the static tie-break keys; pos[id]
+	// is id's index in it.
+	order []graph.NodeID
+	pos   []int32
+	span  int
+	words int // words per bucket bitset
+	// bits holds the 2*span+1 bucket bitsets, words apiece, lowest rank
+	// first; count[b] is the number of set bits in bucket b.
+	bits  []uint64
+	count []int32
+	// inBorder[id] reports whether id is a border block, set in bucket
+	// node[id].Rank+span.
+	inBorder []bool
 }
 
-// bind makes rk the ranker of ev's candidate over ev's graph, reusing
-// its storage.
-func (rk *ranker) bind(ev *Evaluator, levels []int, noTieBreaks bool) {
+// bind makes rk the ranker of ev's candidate over ev's graph for
+// candidates drawn from nodes, reusing its storage.
+func (rk *ranker) bind(ev *Evaluator, levels []int, nodes []graph.NodeID, noTieBreaks bool) {
 	g := ev.g
 	rk.ev, rk.noTieBreaks, rk.levels = ev, noTieBreaks, levels
 	rk.node = sized(rk.node, g.NumNodes())
-	rk.at = sized(rk.at, g.NumNodes())
-	rk.border = rk.border[:0]
 	for i := range rk.node {
 		rk.node[i] = rankedNode(g, levels, graph.NodeID(i), 0)
-		rk.at[i] = -1
 	}
+	// Every rank is 0 here, so rankedLess compares the static keys.
+	rk.order = append(rk.order[:0], nodes...)
+	slices.SortFunc(rk.order, func(a, b graph.NodeID) int {
+		switch {
+		case a == b:
+			return 0
+		case rankedLess(&rk.node[a], &rk.node[b], noTieBreaks):
+			return -1
+		default:
+			return 1
+		}
+	})
+	rk.pos = sized(rk.pos, g.NumNodes())
+	rk.span = 0
+	for i, id := range rk.order {
+		rk.pos[id] = int32(i)
+		rk.span = max(rk.span, len(ev.px.driversOf(id))+g.NumOut(id))
+	}
+	rk.words = (len(rk.order) + 63) >> 6
+	rk.bits = sized(rk.bits, (2*rk.span+1)*rk.words)
+	rk.count = sized(rk.count, 2*rk.span+1)
+	rk.inBorder = sized(rk.inBorder, g.NumNodes())
 }
 
 // reset makes blocks the candidate and ranks every member.
 func (rk *ranker) reset(blocks graph.NodeSet) {
-	for _, id := range rk.border {
-		rk.at[id] = -1
-	}
-	rk.border = rk.border[:0]
+	clear(rk.bits)
+	clear(rk.count)
+	clear(rk.inBorder)
 	rk.ev.Reset()
 	rk.ev.AddSet(blocks)
 	blocks.ForEach(rk.refresh)
@@ -381,23 +382,28 @@ func (rk *ranker) refresh(id graph.NodeID) {
 	if !rk.ev.Has(id) {
 		return
 	}
-	rank, border := rankOf(rk.ev, id, &rk.ports)
-	rk.node[id].Rank = rank
-	rk.setBorder(id, border)
+	rank, border := rankOf(rk.ev, id)
+	rk.set(id, rank, border)
 }
 
-func (rk *ranker) setBorder(id graph.NodeID, border bool) {
-	switch i := rk.at[id]; {
-	case border && i < 0:
-		rk.at[id] = int32(len(rk.border))
-		rk.border = append(rk.border, id)
-	case !border && i >= 0:
-		last := rk.border[len(rk.border)-1]
-		rk.border[i] = last
-		rk.at[last] = i
-		rk.border = rk.border[:len(rk.border)-1]
-		rk.at[id] = -1
+// set records id's rank and border status, moving its bit between
+// buckets.
+func (rk *ranker) set(id graph.NodeID, rank int, border bool) {
+	if rk.inBorder[id] {
+		rk.flip(id, -1)
 	}
+	rk.node[id].Rank, rk.inBorder[id] = rank, border
+	if border {
+		rk.flip(id, 1)
+	}
+}
+
+// flip toggles id's bit in the bucket of node[id].Rank and moves the
+// bucket's count by delta.
+func (rk *ranker) flip(id graph.NodeID, delta int32) {
+	b, at := rk.node[id].Rank+rk.span, int(rk.pos[id])
+	rk.bits[b*rk.words+at>>6] ^= 1 << (at & 63)
+	rk.count[b] += delta
 }
 
 // remove takes r out of the candidate and re-ranks the members whose
@@ -405,7 +411,7 @@ func (rk *ranker) setBorder(id graph.NodeID, border bool) {
 func (rk *ranker) remove(r graph.NodeID) {
 	g := rk.ev.g
 	rk.ev.Remove(r)
-	rk.setBorder(r, false)
+	rk.set(r, 0, false)
 	// r's drivers: their ports feeding r now feed a non-member.
 	for _, id := range g.PredecessorsView(r) {
 		rk.refresh(id)
@@ -416,37 +422,46 @@ func (rk *ranker) remove(r graph.NodeID) {
 	}
 	// The other consumers of each port feeding r: that port's extIn or
 	// outLv counter changed.
-	for _, in := range g.InEdgesView(r) {
-		for _, e := range g.OutEdgesView(in.From.Node) {
-			if e.From.Pin == in.From.Pin {
+	for _, d := range rk.ev.px.driversOf(r) {
+		pin := int(d.port - rk.ev.px.base[d.node])
+		for _, e := range g.OutEdgesView(d.node) {
+			if e.From.Pin == pin {
 				rk.refresh(e.To.Node)
 			}
 		}
 	}
 }
 
-// pick returns the least border block under rankedLess, or the
-// highestLevel fallback when no member is a border block.
+// pick returns the least border block under rankedLess: the first set
+// bit of the lowest non-empty bucket. With no border block it returns
+// the highestLevel fallback.
 func (rk *ranker) pick() RankedNode {
-	if len(rk.border) == 0 {
-		return highestLevel(rk.ev.g, rk.levels, rk.ev.Members().Sorted())
-	}
-	best := &rk.node[rk.border[0]]
-	for _, id := range rk.border[1:] {
-		if n := &rk.node[id]; rankedLess(n, best, rk.noTieBreaks) {
-			best = n
+	for b, n := range rk.count {
+		if n == 0 {
+			continue
+		}
+		for i, w := range rk.bits[b*rk.words : (b+1)*rk.words] {
+			if w != 0 {
+				return rk.node[rk.order[i<<6+bits.TrailingZeros64(w)]]
+			}
 		}
 	}
-	return *best
+	return highestLevel(rk.ev.g, rk.levels, rk.ev.Members().Sorted())
 }
 
 // ranked returns the candidate's border sorted by removal priority, a
-// fresh slice for the trace.
+// fresh slice for the trace: the buckets' set bits in order.
 func (rk *ranker) ranked() []RankedNode {
 	var border []RankedNode
-	for _, id := range rk.border {
-		border = append(border, rk.node[id])
+	for b, n := range rk.count {
+		if n == 0 {
+			continue
+		}
+		for i, w := range rk.bits[b*rk.words : (b+1)*rk.words] {
+			for ; w != 0; w &= w - 1 {
+				border = append(border, rk.node[rk.order[i<<6+bits.TrailingZeros64(w)]])
+			}
+		}
 	}
-	sortRanked(border, rk.noTieBreaks)
 	return border
 }

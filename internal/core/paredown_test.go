@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -274,6 +275,24 @@ func TestIncrementalRankMatchesBruteForce(t *testing.T) {
 			return true
 		}
 		_, ranked := pareStep(g, candidate, levelsOf(g), false)
+		// pareStep's border is rankOf's, read from the evaluator's
+		// member-neighbour counters: it must be exactly the members
+		// graph.Border does not class NotBorder.
+		inBorder := graph.NewNodeSet()
+		for _, rn := range ranked {
+			inBorder.Add(rn.Node)
+		}
+		okBorder := true
+		candidate.ForEach(func(id graph.NodeID) {
+			if def := g.Border(candidate, id) != graph.NotBorder; def != inBorder.Has(id) {
+				t.Logf("node %v: in pareStep's border %v, graph.Border says %v (candidate %v)",
+					id, inBorder.Has(id), def, candidate)
+				okBorder = false
+			}
+		})
+		if !okBorder {
+			return false
+		}
 		base := PartitionIO(g, candidate).Total()
 		for _, rn := range ranked {
 			without := candidate.Clone()
@@ -316,59 +335,88 @@ func TestPareDownDeterminism(t *testing.T) {
 // TestRankerMatchesFromScratch drives PareDown's loop over random
 // designs and budgets and, before every pick, holds the ranker's cached
 // rank and border status of each candidate member equal to pareStep's
-// from-scratch ranking, and its pick equal to pareStep's head.
+// from-scratch ranking, its whole ordered border equal to pareStep's
+// sorted border, and its pick equal to pareStep's head.
 func TestRankerMatchesFromScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	f := func() bool {
 		g := randomTestDAG(rng, 2+rng.Intn(30))
 		c := Constraints{MaxInputs: 1 + rng.Intn(3), MaxOutputs: 1 + rng.Intn(3)}
-		noTieBreaks := rng.Intn(4) == 0
-		levels, err := g.Levels()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev := NewEvaluator(g)
-		rk := &ranker{}
-		rk.bind(ev, levels, noTieBreaks)
-		blocks := graph.NewNodeSet(g.PartitionableNodes()...)
-		for blocks.Len() > 0 {
-			rk.reset(blocks)
-			for {
-				candidate := ev.Members()
-				if ev.Len() == 1 || ev.Fits(c) {
-					candidate.ForEach(blocks.Remove)
-					break
-				}
-				want, border := pareStep(g, candidate, levels, noTieBreaks)
-				wantRank := map[graph.NodeID]int{}
-				for _, rn := range border {
-					wantRank[rn.Node] = rn.Rank
-				}
-				ok := true
-				candidate.ForEach(func(id graph.NodeID) {
-					rank, isBorder := wantRank[id]
-					if (rk.at[id] >= 0) != isBorder || (isBorder && rk.node[id].Rank != rank) {
-						t.Logf("member %v of %v: cached rank %d border %v, from scratch %d border %v",
-							id, candidate, rk.node[id].Rank, rk.at[id] >= 0, rank, isBorder)
-						ok = false
-					}
-				})
-				got := rk.pick()
-				if got != want {
-					t.Logf("candidate %v: picked %+v, from scratch %+v", candidate, got, want)
-					ok = false
-				}
-				if !ok {
-					return false
-				}
-				rk.remove(got.Node)
-			}
-		}
-		return true
+		return rankerMatchesFromScratch(t, g, c, rng.Intn(4) == 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// rankerMatchesFromScratch runs PareDown's loop on g under c with a
+// fresh ranker and, before every pick, compares the ranker with
+// pareStep: each member's rank and border status, the ordered border,
+// and the pick. It also holds every member's border status equal to
+// graph.Border's and every border block's rank equal to the PartitionIO
+// brute force. It logs the first mismatch and reports whether there was
+// none.
+func rankerMatchesFromScratch(t *testing.T, g *graph.Graph, c Constraints, noTieBreaks bool) bool {
+	levels, err := g.Levels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator(g)
+	rk := &ranker{}
+	inner := g.PartitionableNodes()
+	rk.bind(ev, levels, inner, noTieBreaks)
+	blocks := graph.NewNodeSet(inner...)
+	for blocks.Len() > 0 {
+		rk.reset(blocks)
+		for {
+			candidate := ev.Members()
+			if ev.Len() == 1 || ev.Fits(c) {
+				candidate.ForEach(blocks.Remove)
+				break
+			}
+			want, border := pareStep(g, candidate, levels, noTieBreaks)
+			wantRank := map[graph.NodeID]int{}
+			for _, rn := range border {
+				wantRank[rn.Node] = rn.Rank
+			}
+			ok := true
+			base := PartitionIO(g, candidate).Total()
+			candidate.ForEach(func(id graph.NodeID) {
+				rank, isBorder := wantRank[id]
+				if rk.inBorder[id] != isBorder || (isBorder && rk.node[id].Rank != rank) {
+					t.Logf("member %v of %v: cached rank %d border %v, from scratch %d border %v",
+						id, candidate, rk.node[id].Rank, rk.inBorder[id], rank, isBorder)
+					ok = false
+				}
+				if def := g.Border(candidate, id) != graph.NotBorder; def != isBorder {
+					t.Logf("member %v of %v: border %v, graph.Border says %v", id, candidate, isBorder, def)
+					ok = false
+				}
+				if isBorder {
+					without := candidate.Clone()
+					without.Remove(id)
+					if brute := PartitionIO(g, without).Total() - base; brute != rank {
+						t.Logf("member %v of %v: rank %d, brute force %d", id, candidate, rank, brute)
+						ok = false
+					}
+				}
+			})
+			if got := rk.ranked(); !slices.Equal(got, border) {
+				t.Logf("candidate %v: ranked border %+v, from scratch %+v", candidate, got, border)
+				ok = false
+			}
+			got := rk.pick()
+			if got != want {
+				t.Logf("candidate %v: picked %+v, from scratch %+v", candidate, got, want)
+				ok = false
+			}
+			if !ok {
+				return false
+			}
+			rk.remove(got.Node)
+		}
+	}
+	return true
 }
 
 // TestPareDownAllocs bounds the allocations of the Section 5.2 scaling

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -52,6 +53,31 @@ func BenchmarkPareDownLargescale(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkPareDownTable2 measures PareDown over the golden
+// population's Table 2 designs with 14 to 45 inner blocks, the sizes
+// the paper partitions with PareDown alone: one op is one pass over
+// the 120 designs.
+func BenchmarkPareDownTable2(b *testing.B) {
+	var gs []*graph.Graph
+	for _, d := range goldenPopulation() {
+		if n := len(d.g.InnerNodes()); strings.HasPrefix(d.name, "t2-") && n >= 14 && n <= 45 {
+			gs = append(gs, d.g)
+		}
+	}
+	if len(gs) != 120 {
+		b.Fatalf("%d Table 2 designs with 14 to 45 inner blocks, want 120", len(gs))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range gs {
+			if _, err := PareDown(g, DefaultConstraints, PareDownOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // BenchmarkExhaustive12 measures the optimal search on a 12-inner

@@ -52,12 +52,16 @@ func poisonWorkspace() {
 		ws.ev.members.Add(id)
 	}
 	ws.ev.px.base, ws.ev.px.n = filled(ws.ev.px.base, n, 1), 3
+	ws.ev.px.drivers = filled(ws.ev.px.drivers, n, driver{node: 3, port: 1, cnt: 2})
+	ws.ev.px.drvAt, ws.ev.px.cons = filled(ws.ev.px.drvAt, n, 1), filled(ws.ev.px.cons, n, 4)
 	ws.ev.extIn, ws.ev.outLv = filled(ws.ev.extIn, n, 1), filled(ws.ev.outLv, n, 1)
+	ws.ev.inMem, ws.ev.outMem = filled(ws.ev.inMem, n, 1), filled(ws.ev.outMem, n, 0)
 	ws.ev.inputs, ws.ev.outputs = 9, 9
 	ws.rk.node = filled(ws.rk.node, n, RankedNode{Node: 3, Rank: -9, Level: 9})
-	ws.rk.at = filled(ws.rk.at, n, 0)
-	ws.rk.border = filled(ws.rk.border, n, 3)
-	ws.rk.ports = filled(ws.rk.ports, 8, srcPort{cnt: 5})
+	ws.rk.order, ws.rk.pos = filled(ws.rk.order, n, 3), filled(ws.rk.pos, n, 0)
+	ws.rk.span, ws.rk.words = 2, 1
+	ws.rk.bits, ws.rk.count = filled(ws.rk.bits, n, ^uint64(0)), filled(ws.rk.count, n, 64)
+	ws.rk.inBorder = filled(ws.rk.inBorder, n, true)
 	s := &ws.s
 	s.pos, s.groupOf = filled(s.pos, n, 0), filled(s.groupOf, n, 0)
 	s.stampIn, s.stampOut = s.stampIn[:0], s.stampOut[:0]

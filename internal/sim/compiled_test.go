@@ -112,7 +112,8 @@ func TestCompiledMatchesInterpreterOnRandomStimuli(t *testing.T) {
 // TestEveryInnerBlockRunsAMemoizedMachine: both evaluators run every
 // inner block on a behavior.Machine whose program comes from the
 // process-wide compile memo, so a second simulator of the same design
-// compiles nothing.
+// compiles nothing, and whose In, Prev and Out slots are the block's
+// pins.
 func TestEveryInnerBlockRunsAMemoizedMachine(t *testing.T) {
 	d := garage(t)
 	g := d.Graph()
@@ -124,6 +125,9 @@ func TestEveryInnerBlockRunsAMemoizedMachine(t *testing.T) {
 		for _, rt := range s.insts {
 			if hasMachine, inner := rt.machine != nil, g.Role(rt.id) == graph.RoleInner; hasMachine != inner {
 				t.Errorf("compiled=%v: block %q has a machine %v, is inner %v", compiled, rt.name, hasMachine, inner)
+			}
+			if m := rt.machine; m != nil && !(sharesSlots(rt.inputs, m.In) && sharesSlots(rt.prevIn, m.Prev) && sharesSlots(rt.outputs, m.Out)) {
+				t.Errorf("compiled=%v: block %q: pins do not share the machine's slots", compiled, rt.name)
 			}
 		}
 	}
@@ -210,4 +214,10 @@ func TestConcurrentSimulatorsMatchSequential(t *testing.T) {
 	if grown := compiledMemo.Used() - used; grown > 0 {
 		t.Errorf("concurrent simulators compiled %d programs of their own", grown)
 	}
+}
+
+// sharesSlots reports whether a and b are the same slots: equal length
+// and, when non-empty, the same backing array.
+func sharesSlots(a, b []int64) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }

@@ -137,7 +137,9 @@ type Simulator struct {
 	step func(*behavior.Machine, behavior.Host) error
 }
 
-// instRT is the runtime state of one block instance.
+// instRT is the runtime state of one block instance. On an inner
+// block, inputs, prevIn and outputs are its machine's In, Prev and Out
+// slots, so an evaluation copies no pin values in or out.
 type instRT struct {
 	id      graph.NodeID
 	name    string
@@ -221,6 +223,7 @@ func New(d *netlist.Design, cfg Config) (*Simulator, error) {
 				return nil, fmt.Errorf("sim: compiling %q: %w", rt.name, err)
 			}
 			rt.machine = behavior.NewMachine(compiled)
+			rt.inputs, rt.prevIn, rt.outputs = rt.machine.In, rt.machine.Prev, rt.machine.Out
 			for _, pd := range prog.Params {
 				if v, ok := d.Param(id, pd.Name); ok {
 					rt.machine.SetParam(pd.Name, v)
@@ -256,12 +259,9 @@ func (s *Simulator) settle() error {
 			}
 		}
 		if rt.machine != nil {
-			copy(rt.machine.In, rt.inputs)
-			copy(rt.machine.Prev, rt.inputs) // suppress startup edges
 			if err := s.step(rt.machine, (*settleEnv)(rt)); err != nil {
 				return fmt.Errorf("sim: settling %q: %w", rt.name, err)
 			}
-			copy(rt.outputs, rt.machine.Out)
 		}
 	}
 	return nil
@@ -541,12 +541,10 @@ func (s *Simulator) evaluate(rt *instRT, fired map[int]bool) error {
 	rt.fired = fired // nil when no timer triggered this evaluation
 	before := rt.outPrev
 	copy(before, rt.outputs)
-	copy(rt.machine.In, rt.inputs)
+	// The step latches prevIn = inputs.
 	if err := s.step(rt.machine, (*runEnv)(rt)); err != nil {
 		return fmt.Errorf("sim: evaluating %q: %w", rt.name, err)
 	}
-	copy(rt.outputs, rt.machine.Out)
-	copy(rt.prevIn, rt.inputs)
 	for pin, v := range rt.outputs {
 		if v != before[pin] {
 			if s.cfg.TraceAll {

@@ -233,8 +233,6 @@ func Restore(d *netlist.Design, cfg Config, data []byte) (*Simulator, error) {
 			if err := rt.machine.SetStates(si.State); err != nil {
 				return nil, fmt.Errorf("sim: snapshot: block %q: %w", si.Block, err)
 			}
-			copy(rt.machine.Prev, rt.prevIn)
-			copy(rt.machine.Out, rt.outputs)
 		}
 	}
 	if len(seen) != len(s.insts) {
