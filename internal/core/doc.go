@@ -9,8 +9,9 @@
 //
 //   - Exhaustive search (Section 4.1): optimal, with the paper's
 //     "empty programmable blocks are indistinguishable" symmetry pruning
-//     plus a sound branch-and-bound; practical to roughly 13 inner
-//     blocks.
+//     plus a sound branch-and-bound over the design's fitting groups;
+//     20-block random designs take milliseconds at the paper's 2x2
+//     budget, 45-block ones can take longer than 10 s.
 //   - The PareDown decomposition heuristic (Section 4.2, Figure 4): the
 //     paper's contribution; O(n^2) fit checks.
 //   - An aggregation heuristic (Section 4.2's strawman baseline):

@@ -28,19 +28,26 @@ type driver struct {
 	cnt  int32        // the driven node's in-edges from this port
 }
 
-// index numbers g's output ports and builds the driver and consumer
-// tables, reusing px's storage.
-func (px *portIndex) index(g *graph.Graph) {
+// number numbers g's output ports, reusing px's storage; the driver
+// and consumer tables are left as they were.
+func (px *portIndex) number(g *graph.Graph) {
 	nn := g.NumNodes()
 	px.base = sized(px.base, nn+1)
-	px.drvAt = sized(px.drvAt, nn+1)
-	px.drivers = px.drivers[:0]
 	n := int32(0)
 	for id := range nn {
 		px.base[id] = n
 		n += int32(g.NumOut(graph.NodeID(id)))
 	}
 	px.base[nn], px.n = n, int(n)
+}
+
+// index numbers g's output ports and builds the driver and consumer
+// tables, reusing px's storage.
+func (px *portIndex) index(g *graph.Graph) {
+	px.number(g)
+	nn := g.NumNodes()
+	px.drvAt = sized(px.drvAt, nn+1)
+	px.drivers = px.drivers[:0]
 	px.cons = sized(px.cons, px.n)
 	for id := range nn {
 		at := len(px.drivers)

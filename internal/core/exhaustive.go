@@ -4,9 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"math/bits"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -25,16 +24,8 @@ type ExhaustiveOptions struct {
 	// empty-block symmetry pruning, like the 2005 implementation. Tests
 	// use it to check that pruning keeps the optimal cost.
 	DisableBound bool
-	// Workers bounds the worker pool of the parallel search: the
-	// shallow levels of the search tree are fanned out as independent
-	// subtree tasks sharing an atomic incumbent cost bound. 0 means
-	// GOMAXPROCS; 1 forces the sequential search. Designs with fewer
-	// than 10 partitionable blocks always run sequentially (the fan-out
-	// overhead would dominate). Partitions, cost, and coverage are
-	// deterministic and identical to the sequential search regardless
-	// of worker count; only the NodesVisited statistic may vary run to
-	// run with workers > 1 (pruning depends on when workers observe
-	// the shared bound).
+	// Workers is ignored: the search runs on the calling goroutine. It
+	// remains so that callers which set it keep compiling.
 	Workers int
 }
 
@@ -51,7 +42,7 @@ type ExhaustiveOptions struct {
 // Branch-and-bound on top cuts a branch once no leaf below it can be
 // strictly better than the incumbent, which starts as the PareDown
 // solution or the seeded InitialBound: when the branch already costs
-// more than the best cost found anywhere, or by one of four rules:
+// more than the incumbent, or by one of four rules:
 //
 //  1. Coverage: at the incumbent's cost, a branch that would not cover
 //     more blocks even if every undecided block joined a group. A
@@ -59,24 +50,43 @@ type ExhaustiveOptions struct {
 //  2. Children first: the unassigned and new-group children are tested
 //     before they are placed, and the last block opens no group, since
 //     a one-member group is never a partition.
-//  3. Demand: a placement that pushes any group's permanent I/O demand
-//     over the budget, the joined group's or another group's that rose
-//     because the block is now decided.
+//  3. Demand: a placement after which some open group can no longer
+//     end as a fitting group.
 //  4. Stuck block: where one more unit of cost is already hopeless, a
-//     node at which some undecided block fits no open group, counting
-//     only its edges to nodes decided at that node.
+//     node at which some undecided block can join no open group.
 //
-// Each is sound because cost (groups + unassigned), the unassigned
-// count and every group's permanent demand only grow along a branch.
-// Permanent demand counts only connectivity to already-decided or
-// never-placeable nodes, since future additions can still internalize
-// other edges (the convergence property that makes naive feasibility
-// pruning unsound), so it never exceeds the group's demand at a leaf.
-// It is maintained incrementally — O(degree) per block placement
-// instead of an O(group + edges) recount per feasibility probe — and
-// large searches fan their shallow subtrees across a worker pool (see
-// ExhaustiveOptions.Workers).
+// Each is sound because cost (groups + unassigned) and the unassigned
+// count only grow along a branch, and a group's decided members and
+// non-members only accumulate. Two engines apply rules 3 and 4, and
+// both return the same partitions for every input:
+//
+//   - The family engine, for designs of at most 64 partitionable
+//     blocks, lists the design's fitting groups once per call (see
+//     famSearcher.build): every group of at least two blocks within the
+//     budget, and convex under RequireConvex. Each open group carries
+//     the bitset of the listed groups that still match its decisions,
+//     so a placement is viable when every open group keeps a match, a
+//     group whose every match holds the block forces the join, a block
+//     is stuck when no open group's matches hold it, and a complete
+//     assignment needs no fit re-check. The list is built when the
+//     search first opens a group.
+//   - The permanent-demand engine runs instead for larger designs,
+//     with DisableBound, and when the list outgrows a fixed bound
+//     (loose budgets give some designs millions of fitting groups). It
+//     keeps each group's permanent I/O demand: only connectivity to
+//     already-decided or never-placeable nodes, since future additions
+//     can still internalize other edges (the convergence property that
+//     makes naive feasibility pruning unsound), so it never exceeds
+//     the group's demand at a leaf. It is maintained incrementally,
+//     O(degree) per block placement, and a leaf re-checks every group's
+//     full demand.
 func Exhaustive(g *graph.Graph, c Constraints, opts ExhaustiveOptions) (*Result, error) {
+	return exhaustive(g, c, opts, true)
+}
+
+// exhaustive is Exhaustive on the family engine when family is set,
+// else on the permanent-demand engine alone.
+func exhaustive(g *graph.Graph, c Constraints, opts ExhaustiveOptions, family bool) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -87,16 +97,13 @@ func Exhaustive(g *graph.Graph, c Constraints, opts ExhaustiveOptions) (*Result,
 
 	// Initial incumbent: cost of leaving everything uncovered, plus
 	// one; or the seeded bound; or the PareDown solution.
-	initBest := n + 1
-	initCovered := 0
-	var initParts []graph.NodeSet
+	init := incumbent{cost: n + 1}
 	seeded := opts.InitialBound > 0 && opts.InitialBound <= n
 	switch {
 	case seeded:
 		// Only solutions strictly better than the seed are of
-		// interest; ties are not reported (initCovered sentinel).
-		initBest = opts.InitialBound
-		initCovered = 1 << 30
+		// interest; ties are not reported (covered sentinel).
+		init.cost, init.covered = opts.InitialBound, 1<<30
 	case !opts.DisableBound:
 		// Seed branch-and-bound with the PareDown solution: the search
 		// then only explores assignments that could beat the heuristic
@@ -105,48 +112,26 @@ func Exhaustive(g *graph.Graph, c Constraints, opts ExhaustiveOptions) (*Result,
 		// exists, the heuristic's solution *is* optimal and is
 		// returned as the incumbent.
 		if pd, err := PareDown(g, c, PareDownOptions{}); err == nil {
-			initBest = pd.Cost()
-			initCovered = pd.Covered()
-			initParts = pd.Partitions
+			init = incumbent{cost: pd.Cost(), covered: pd.Covered(), parts: pd.Partitions}
 		}
 	}
 
-	ws.shared.bound.Store(int64(initBest))
-	s := ws.s.bind(g, c, opts, inner, &ws.shared)
-
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	best := &init
+	err := errFamilyBound
+	if family && n <= 64 && !opts.DisableBound {
+		f := ws.f.bind(g, c, opts, inner, init)
+		err = f.search(0)
+		res.NodesVisited, best = f.visited, &f.incumbent
 	}
-	if n < 10 {
-		workers = 1
-	}
-
-	// The sequential search is one task, the whole tree, searched
-	// inline; a parallel search fans the tree's shallow levels out.
-	var results []exTaskResult
-	var err error
-	if workers == 1 {
-		var r exTaskResult
-		r, err = s.task(nil, initBest, initCovered)
-		res.NodesVisited = s.visited
-		results = []exTaskResult{r}
-	} else {
-		results, res.NodesVisited, err = s.fanOut(workers, initBest, initCovered)
+	if err == errFamilyBound {
+		s := ws.s.bind(g, c, opts, inner, init)
+		err = s.search(0)
+		res.NodesVisited, best = res.NodesVisited+s.visited, &s.incumbent
 	}
 	if err != nil {
 		return nil, err
 	}
-
-	// Merge task results in task order with the sequential search's
-	// strictly-better rule, so the outcome is identical to a
-	// depth-first scan of the whole tree.
-	best, covered, parts := initBest, initCovered, initParts
-	for _, r := range results {
-		if r.found && (r.cost < best || (r.cost == best && r.covered > covered)) {
-			best, covered, parts = r.cost, r.covered, r.parts
-		}
-	}
+	parts := best.parts
 	if parts == nil {
 		if seeded {
 			return nil, errSeedStands
@@ -161,46 +146,6 @@ func Exhaustive(g *graph.Graph, c Constraints, opts ExhaustiveOptions) (*Result,
 	return res, nil
 }
 
-// fanOut searches the tree as subtree tasks on a pool of workers:
-// s, idle, expands the shallow levels breadth-first into at least
-// 4*workers tasks against the initial incumbent (best, covered), and
-// each worker searches tasks on a workspace of its own, all sharing
-// s's bound. It returns every task's incumbent in task order and the
-// nodes visited in all.
-func (s *exSearcher) fanOut(workers, best, covered int) ([]exTaskResult, int64, error) {
-	s.best, s.bestCovered = best, covered
-	tasks := s.enumerateTasks(4 * workers)
-	results := make([]exTaskResult, len(tasks))
-	visited := s.visited
-	var next atomic.Int64
-	var firstErr error
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < min(workers, len(tasks)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := getWorkspace()
-			ts := ws.s.bind(s.g, s.c, s.opts, s.inner, s.shared)
-			var err error
-			for t := int(next.Add(1) - 1); t < len(tasks) && err == nil; t = int(next.Add(1) - 1) {
-				results[t], err = ts.task(tasks[t], best, covered)
-			}
-			mu.Lock()
-			visited += ts.visited
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			if err == nil {
-				ws.put()
-			}
-		}()
-	}
-	wg.Wait()
-	return results, visited, firstErr
-}
-
 // errSeedStands reports that the seeded InitialBound could not be
 // improved; callers that seeded the search should keep their seed
 // solution.
@@ -210,30 +155,33 @@ var errSeedStands = fmt.Errorf("core: exhaustive search found no solution better
 // optimal.
 func IsSeedStands(err error) bool { return err == errSeedStands }
 
-// exShared is the state shared by all workers of one search: the best
-// cost found anywhere, used as the branch-and-bound pruning floor.
-// Coverage ties are resolved at merge time, so only the cost needs to
-// be shared.
-type exShared struct {
-	bound atomic.Int64
-}
+// errFamilyBound stops the family engine when the design's family of
+// fitting groups outgrows maxFamily or its enumeration outlasts
+// maxFamilySteps; the permanent-demand engine then searches instead.
+var errFamilyBound = fmt.Errorf("core: family of fitting groups over its bound")
 
-// offer lowers the shared bound to cost if it improves it.
-func (sh *exShared) offer(cost int) {
-	for {
-		cur := sh.bound.Load()
-		if int64(cost) >= cur || sh.bound.CompareAndSwap(cur, int64(cost)) {
-			return
-		}
-	}
-}
+// The family engine's bounds. At the 2x2 budget a 45-block Table 2
+// design has at most a few hundred fitting groups and a 13-block one a
+// few dozen; a 30-block design at an 8x8 budget has millions.
+const (
+	maxFamily      = 1 << 12
+	maxFamilySteps = 1 << 16
+)
 
-// exTaskResult is one subtree task's incumbent.
-type exTaskResult struct {
-	found   bool
+// incumbent is a search's best complete assignment: its cost, the
+// blocks it covers and its partitions, which are nil only while nothing
+// has beaten a seeded InitialBound.
+type incumbent struct {
 	cost    int
 	covered int
 	parts   []graph.NodeSet
+}
+
+// better reports whether a leaf of the given cost and coverage would
+// improve on the incumbent: fewer blocks, or as many covering more. A
+// branch none of whose leaves can be better is hopeless.
+func (in *incumbent) better(cost, covered int) bool {
+	return cost < in.cost || (cost == in.cost && covered > in.covered)
 }
 
 // exGroup is one open programmable-block group with its incrementally
@@ -254,7 +202,7 @@ type exGroup struct {
 	outputs int
 }
 
-// exSearcher is one worker's search state.
+// exSearcher is the permanent-demand engine's search state.
 type exSearcher struct {
 	g     *graph.Graph
 	c     Constraints
@@ -267,19 +215,12 @@ type exSearcher struct {
 	pos []int32
 	px  portIndex
 
-	shared *exShared
-
+	incumbent
 	groups     []*exGroup
 	free       []*exGroup // pooled, zero-counter group records
 	groupOf    []int32    // by NodeID: open group index, or -1
 	unassigned int
 	visited    int64
-
-	// Incumbent of the task being searched.
-	best        int
-	bestCovered int
-	bestParts   []graph.NodeSet
-	found       bool
 
 	// Scratch for fitsFull and joinable: epoch-stamped distinct-port
 	// counters, allocation-free.
@@ -288,12 +229,13 @@ type exSearcher struct {
 	epoch    int64
 }
 
-// bind makes s an idle searcher over g's partitionable nodes inner,
-// reusing its storage: every array is sized and reset for g, no group
-// is open, and every pooled group record is zeroed for g's ports.
-func (s *exSearcher) bind(g *graph.Graph, c Constraints, opts ExhaustiveOptions, inner []graph.NodeID, shared *exShared) *exSearcher {
-	s.g, s.c, s.opts, s.inner, s.shared = g, c, opts, inner, shared
-	s.px.index(g)
+// bind makes s an idle searcher over g's partitionable nodes inner
+// with incumbent init, reusing its storage: every array is sized and
+// reset for g, no group is open, and every pooled group record is
+// zeroed for g's ports.
+func (s *exSearcher) bind(g *graph.Graph, c Constraints, opts ExhaustiveOptions, inner []graph.NodeID, init incumbent) *exSearcher {
+	s.g, s.c, s.opts, s.inner, s.incumbent = g, c, opts, inner, init
+	s.px.number(g)
 	s.pos = sized(s.pos, g.NumNodes())
 	s.groupOf = sized(s.groupOf, g.NumNodes())
 	s.stampIn = sized(s.stampIn, s.px.n)
@@ -314,7 +256,6 @@ func (s *exSearcher) bind(g *graph.Graph, c Constraints, opts ExhaustiveOptions,
 		grp.reset(s.px.n)
 	}
 	s.unassigned, s.visited = 0, 0
-	s.best, s.bestCovered, s.bestParts, s.found = 0, 0, nil, false
 	return s
 }
 
@@ -324,22 +265,6 @@ func (grp *exGroup) reset(n int) {
 	grp.size, grp.inputs, grp.outputs = 0, 0, 0
 	grp.extIn = sized(grp.extIn, n)
 	grp.outLv = sized(grp.outLv, n)
-}
-
-// task searches the subtree below a decision prefix against the
-// incumbent (best, covered) every task starts from, then undoes the
-// prefix. An error (cancellation) returns at once and leaves s
-// mid-branch: the caller abandons the searcher, with its workspace,
-// instead of unwinding it.
-func (s *exSearcher) task(prefix []int8, best, covered int) (exTaskResult, error) {
-	s.replay(prefix)
-	s.best, s.bestCovered = best, covered
-	s.bestParts, s.found = nil, false
-	if err := s.search(len(prefix)); err != nil {
-		return exTaskResult{}, err
-	}
-	s.unreplay(prefix)
-	return exTaskResult{found: s.found, cost: s.best, covered: s.bestCovered, parts: s.bestParts}, nil
 }
 
 // addIn counts one more permanent edge from external port p into the
@@ -466,15 +391,9 @@ func (s *exSearcher) permanent(y graph.NodeID, i int32) bool {
 }
 
 // hopeless reports whether no leaf of at least the given cost that
-// covers at most covered blocks can beat the incumbent: its cost
-// exceeds the shared bound, or it ties the task's incumbent cost
-// without covering more blocks. The shared bound carries cost alone,
-// so the coverage test reads the task's own incumbent.
+// covers at most covered blocks can beat the incumbent.
 func (s *exSearcher) hopeless(cost, covered int) bool {
-	if s.opts.DisableBound {
-		return false
-	}
-	return int64(cost) > s.shared.bound.Load() || (cost == s.best && covered <= s.bestCovered)
+	return !s.opts.DisableBound && !s.better(cost, covered)
 }
 
 // stuck reports whether some undecided block fits no open group even
@@ -563,19 +482,18 @@ func (s *exSearcher) search(i int) error {
 		s.leaf()
 		return nil
 	}
-	return s.children(i, func(int8) error { return s.search(i + 1) })
+	return s.children(i)
 }
 
 // children decides block inner[i] as each child the pruning admits, in
 // the search's order: unassigned, joined to each open group, then in
 // one new group (symmetry pruning: empty groups are indistinguishable,
-// so a single representative suffices). For each it calls visit with
-// the decision and then undoes the placement; an error from visit
-// returns at once, as in search. A child is tested before it is
-// visited: the cost and coverage bounds first, then place's report.
-// The last block opens no group, which would keep one member. When one
-// more unit of cost is already hopeless, a stuck block cuts the node.
-func (s *exSearcher) children(i int, visit func(d int8) error) error {
+// so a single representative suffices), searching below each and then
+// undoing the placement. A child is tested before it is searched: the
+// cost and coverage bounds first, then place's report. The last block
+// opens no group, which would keep one member. When one more unit of
+// cost is already hopeless, a stuck block cuts the node.
+func (s *exSearcher) children(i int) error {
 	x := s.inner[i]
 	cost, reach := s.unassigned+len(s.groups), len(s.inner)-s.unassigned
 	bounded := !s.opts.DisableBound
@@ -586,7 +504,7 @@ func (s *exSearcher) children(i int, visit func(d int8) error) error {
 		fits := s.place(x, -1)
 		s.unassigned++
 		if fits || !bounded {
-			if err := visit(decUnassigned); err != nil {
+			if err := s.search(i + 1); err != nil {
 				return err
 			}
 		}
@@ -598,7 +516,7 @@ func (s *exSearcher) children(i int, visit func(d int8) error) error {
 			break // an earlier child's leaf improved the incumbent
 		}
 		if s.place(x, gi) || !bounded {
-			if err := visit(int8(gi)); err != nil {
+			if err := s.search(i + 1); err != nil {
 				return err
 			}
 		}
@@ -609,7 +527,7 @@ func (s *exSearcher) children(i int, visit func(d int8) error) error {
 	}
 	gi := s.openGroup()
 	if s.place(x, gi) || !bounded {
-		if err := visit(decNewGroup); err != nil {
+		if err := s.search(i + 1); err != nil {
 			return err
 		}
 	}
@@ -618,10 +536,10 @@ func (s *exSearcher) children(i int, visit func(d int8) error) error {
 	return nil
 }
 
-// leaf evaluates a complete assignment against the task incumbent.
+// leaf evaluates a complete assignment against the incumbent.
 func (s *exSearcher) leaf() {
 	cost, covered := s.unassigned+len(s.groups), len(s.inner)-s.unassigned
-	if !(cost < s.best || (cost == s.best && covered > s.bestCovered)) {
+	if !s.better(cost, covered) {
 		return
 	}
 	// All groups must be valid partitions under the *full* I/O count
@@ -641,15 +559,10 @@ func (s *exSearcher) leaf() {
 			return
 		}
 	}
-	s.best = cost
-	s.bestCovered = covered
-	s.found = true
-	s.bestParts = make([]graph.NodeSet, len(s.groups))
+	s.cost, s.covered = cost, covered
+	s.parts = make([]graph.NodeSet, len(s.groups))
 	for gi, grp := range s.groups {
-		s.bestParts[gi] = grp.members.Clone()
-	}
-	if !s.opts.DisableBound {
-		s.shared.offer(cost)
+		s.parts[gi] = grp.members.Clone()
 	}
 }
 
@@ -688,68 +601,528 @@ func (s *exSearcher) fitsFull(set graph.NodeSet) bool {
 	return true
 }
 
-// Decision encoding for subtree-task prefixes: prefix[i] decides
-// inner[i].
-const (
-	decUnassigned int8 = -1  // leave the block unassigned
-	decNewGroup   int8 = 127 // open a new group for the block
-	// 0..126: join the open group with that index.
-)
+// famSearcher is the family engine's search state. Blocks are named by
+// their index in inner, and a set of blocks is a mask over those
+// indexes.
+type famSearcher struct {
+	g     *graph.Graph
+	c     Constraints
+	opts  ExhaustiveOptions
+	inner []graph.NodeID
+	full  uint64 // every block
 
-// replay applies a decision prefix.
-func (s *exSearcher) replay(prefix []int8) {
-	for i, d := range prefix {
-		x := s.inner[i]
-		switch d {
-		case decUnassigned:
-			s.place(x, -1)
-			s.unassigned++
-		case decNewGroup:
-			gi := s.openGroup()
-			s.place(x, gi)
-		default:
-			s.place(x, int(d))
-		}
-	}
+	incumbent
+	unassigned int
+	visited    int64
+
+	// The family, built when the search first opens a group: sets
+	// lists the design's fitting groups of at least two blocks, ordered
+	// by lowest member, sets[at[j]:at[j+1]] being those whose lowest
+	// member is block j; has[i*words:(i+1)*words] is the bitset of the
+	// sets that hold block i.
+	built bool
+	sets  []uint64
+	at    []int32
+	words int
+	has   []uint64
+
+	// The open groups (see famOpen). Level i of lv, stride words long,
+	// holds while block i is decided each open group's matches; a
+	// group opened by block j keeps them at offset slot[j].
+	open   []famOpen
+	slot   []int32
+	stride int
+	lv     []uint64
+
+	// Enumeration scratch (see build): the port index; each node's
+	// index in inner, or -1 when it is not partitionable; the blocks'
+	// edges, block i's in-edges being edges[edgeAt[2i]:edgeAt[2i+1]]
+	// and its out-edges edges[edgeAt[2i+1]:edgeAt[2i+2]]; each block's
+	// partitionable neighbours; the permanent demand of the set being
+	// grown, counted as exGroup counts it; the fitting connected sets,
+	// singletons included, ordered by lowest member
+	// (comps[compAt[j]:compAt[j+1]] have block j lowest); their input
+	// ports, then the unions' per depth; the enumeration's step count;
+	// the fewest outputs of any of them; and scratch node sets.
+	px              portIndex
+	idx             []int32
+	edges           []famEdge
+	edgeAt          []int32
+	near            []uint64
+	extIn, outLv    []int32
+	inputs, outputs int
+	comps           []famComp
+	compAt          []int32
+	minOuts         int32
+	ports           []int32
+	steps           int
+	tmp             graph.NodeSet
+	groupSets       []graph.NodeSet
 }
 
-// unreplay reverses replay.
-func (s *exSearcher) unreplay(prefix []int8) {
-	for i := len(prefix) - 1; i >= 0; i-- {
-		x := s.inner[i]
-		switch d := prefix[i]; d {
-		case decUnassigned:
-			s.unassigned--
-			s.unplace(x, -1)
-		case decNewGroup:
-			s.unplace(x, len(s.groups)-1)
-			s.closeGroup()
-		default:
-			s.unplace(x, int(d))
-		}
-	}
+// famOpen is one open group: its members, and where its matches lie.
+// A group's matches are the bitset of the sets that agree with its
+// decisions so far: they hold its members and none of the blocks
+// decided otherwise. All of them have the group's opener j as lowest
+// member, so they lie in the w words of the family from lo = at[j]>>6
+// on, kept at offset off of each level.
+type famOpen struct {
+	members    uint64
+	off, lo, w int
 }
 
-// enumerateTasks expands the shallow levels of the search tree
-// breadth-first until at least want subtree tasks exist (or the tree
-// is exhausted). Each frontier node's children pass the same filter
-// the depth-first search applies (children), against the initial
-// incumbent every task starts from.
-func (s *exSearcher) enumerateTasks(want int) [][]int8 {
-	frontier := [][]int8{nil}
-	for depth := 0; depth < len(s.inner) && len(frontier) < want; depth++ {
-		var next [][]int8
-		for _, pre := range frontier {
-			s.replay(pre)
-			s.visited++
-			// The collecting visit never fails, so neither does children.
-			_ = s.children(depth, func(d int8) error {
-				next = append(next, append(pre[:len(pre):len(pre)], d))
+// famEdge is one edge of a block: the output port it leaves from, and
+// the index of the node at its other end, or -1 when that node is not
+// partitionable.
+type famEdge struct{ port, peer int32 }
+
+// famComp is one fitting connected set: its members, their
+// neighbourhood (the members and every block adjacent to one), its
+// input ports ports[lo:hi] in ascending order, and its output count.
+type famComp struct {
+	set, near uint64
+	lo, hi    int32
+	outs      int32
+}
+
+// bind makes f an idle searcher over g's partitionable nodes inner
+// with incumbent init, reusing its storage. The family is not built
+// yet, and no group is open.
+func (f *famSearcher) bind(g *graph.Graph, c Constraints, opts ExhaustiveOptions, inner []graph.NodeID, init incumbent) *famSearcher {
+	f.g, f.c, f.opts, f.inner, f.incumbent = g, c, opts, inner, init
+	n := len(inner)
+	f.full = uint64(1)<<n - 1
+	f.unassigned, f.visited, f.built, f.stride, f.words = 0, 0, false, 0, 0
+	f.open = sized(f.open, n)[:0]
+	return f
+}
+
+// search decides block i and recurses, like exSearcher.search.
+func (f *famSearcher) search(i int) error {
+	f.visited++
+	if f.opts.Ctx != nil && f.visited%1024 == 0 {
+		select {
+		case <-f.opts.Ctx.Done():
+			return f.opts.Ctx.Err()
+		default:
+		}
+	}
+	if i == len(f.inner) {
+		f.leaf()
+		return nil
+	}
+	return f.children(i)
+}
+
+// hopeless reports whether no leaf of at least the given cost that
+// covers at most covered blocks can beat the incumbent.
+func (f *famSearcher) hopeless(cost, covered int) bool { return !f.better(cost, covered) }
+
+// children decides block i as exSearcher.children does, in the same
+// order and under the same cost and coverage bounds, with rules 3 and 4
+// read from the open groups' matches.
+func (f *famSearcher) children(i int) error {
+	cost, reach := f.unassigned+len(f.open), len(f.inner)-f.unassigned
+	if f.hopeless(cost+1, reach) && f.stuck(i) {
+		return nil
+	}
+	// Every decision but joining group k leaves it the matches without
+	// block i; write those to the next level. A group left with none
+	// must take block i; two such groups cut the node.
+	cur, next := f.lv[i*f.stride:(i+1)*f.stride], f.lv[(i+1)*f.stride:(i+2)*f.stride]
+	has := f.has[i*f.words : (i+1)*f.words]
+	forced := -1
+	for k := range f.open {
+		o := &f.open[k]
+		var rest uint64
+		for x := range o.w {
+			next[o.off+x] = cur[o.off+x] &^ has[o.lo+x]
+			rest |= next[o.off+x]
+		}
+		if rest == 0 {
+			if forced >= 0 {
 				return nil
-			})
-			s.unreplay(pre)
+			}
+			forced = k
 		}
-		frontier = next
 	}
-	return frontier
+	if forced < 0 && !f.hopeless(cost+1, reach-1) {
+		f.unassigned++
+		if err := f.search(i + 1); err != nil {
+			return err
+		}
+		f.unassigned--
+	}
+	for k := range f.open {
+		if f.hopeless(cost, reach) {
+			break // an earlier child's leaf improved the incumbent
+		}
+		if forced >= 0 && k != forced {
+			continue
+		}
+		o := &f.open[k]
+		var with uint64
+		for x := range o.w {
+			next[o.off+x] = cur[o.off+x] & has[o.lo+x]
+			with |= next[o.off+x]
+		}
+		if with != 0 {
+			o.members |= 1 << i
+			if err := f.search(i + 1); err != nil {
+				return err
+			}
+			o.members &^= 1 << i
+		}
+		for x := range o.w {
+			next[o.off+x] = cur[o.off+x] &^ has[o.lo+x]
+		}
+	}
+	if forced >= 0 || i == len(f.inner)-1 || f.hopeless(cost+1, reach) {
+		return nil
+	}
+	if !f.built && !f.build() {
+		return errFamilyBound
+	}
+	if f.at[i] == f.at[i+1] {
+		return nil // no fitting group has block i lowest
+	}
+	// The family may have been built below this node, after next was
+	// taken.
+	next = f.lv[(i+1)*f.stride : (i+2)*f.stride]
+	o := famOpen{members: 1 << i, off: int(f.slot[i]), lo: int(f.at[i] >> 6), w: int(f.slot[i+1] - f.slot[i])}
+	for x := range o.w {
+		next[o.off+x] = wordRange(o.lo+x, int(f.at[i]), int(f.at[i+1]))
+	}
+	f.open = append(f.open, o)
+	if err := f.search(i + 1); err != nil {
+		return err
+	}
+	f.open = f.open[:len(f.open)-1]
+	return nil
+}
+
+// wordRange returns the bits of word w that lie in [a, b).
+func wordRange(w, a, b int) uint64 {
+	m := ^uint64(0)
+	if d := a - w<<6; d > 0 {
+		m <<= d
+	}
+	if d := (w+1)<<6 - b; d > 0 {
+		m &= ^uint64(0) >> d
+	}
+	return m
+}
+
+// stuck reports whether some undecided block is held by no open
+// group's matches, so it can join no open group.
+func (f *famSearcher) stuck(i int) bool {
+	need := f.full &^ (uint64(1)<<i - 1)
+	cur := f.lv[i*f.stride : (i+1)*f.stride]
+	for _, o := range f.open {
+		for x := range o.w {
+			for m := cur[o.off+x]; m != 0; m &= m - 1 {
+				need &^= f.sets[(o.lo+x)<<6+bits.TrailingZeros64(m)]
+			}
+			if need == 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// leaf evaluates a complete assignment against the incumbent. Every
+// open group kept a match, so each is a fitting group of at least two
+// blocks; only the joint acyclicity of RequireConvex is left to check.
+func (f *famSearcher) leaf() {
+	cost, covered := f.unassigned+len(f.open), len(f.inner)-f.unassigned
+	if !f.better(cost, covered) {
+		return
+	}
+	if f.c.RequireConvex {
+		for len(f.groupSets) < len(f.open) {
+			f.groupSets = append(f.groupSets, graph.NewNodeSet())
+		}
+		parts := f.groupSets[:len(f.open)]
+		for k, o := range f.open {
+			f.nodeSet(parts[k], o.members)
+		}
+		ct, err := f.g.Contract(parts)
+		if err != nil || !ct.Acyclic() {
+			return
+		}
+	}
+	f.cost, f.covered = cost, covered
+	f.parts = make([]graph.NodeSet, len(f.open))
+	for k, o := range f.open {
+		f.parts[k] = f.nodeSet(f.tmp, o.members).Clone()
+	}
+}
+
+// nodeSet makes set hold the blocks of mask m and returns it.
+func (f *famSearcher) nodeSet(set graph.NodeSet, m uint64) graph.NodeSet {
+	set.Clear()
+	for ; m != 0; m &= m - 1 {
+		set.Add(f.inner[bits.TrailingZeros64(m)])
+	}
+	return set
+}
+
+// build lists the design's fitting groups in sets, and sizes the
+// search's levels. A fitting group's connected components are fitting
+// connected sets, since no edge joins two of them (so each one's
+// external ports are some of the group's), and each is convex when the
+// group is (a path leaving one component leaves the group). So build
+// first grows every fitting connected set from its lowest block, cut by
+// permanent demand (grow), then records each set of at least two blocks
+// and every fitting union of pairwise disjoint, non-adjacent ones
+// (unite). It reports false when the family outgrows maxFamily or the
+// enumeration takes over maxFamilySteps steps.
+func (f *famSearcher) build() bool {
+	g, n := f.g, len(f.inner)
+	f.built = true
+	f.px.number(g)
+	f.extIn, f.outLv = sized(f.extIn, f.px.n), sized(f.outLv, f.px.n)
+	f.inputs, f.outputs = 0, 0
+	f.idx = sized(f.idx, g.NumNodes())
+	for i := range f.idx {
+		f.idx[i] = -1
+	}
+	for i, id := range f.inner {
+		f.idx[id] = int32(i)
+	}
+	f.edges, f.edgeAt, f.near = f.edges[:0], sized(f.edgeAt, 2*n+1), sized(f.near, n)
+	for i, id := range f.inner {
+		for _, e := range g.InEdgesView(id) {
+			f.edges = append(f.edges, famEdge{f.px.id(e.From), f.idx[e.From.Node]})
+		}
+		f.edgeAt[2*i+1] = int32(len(f.edges))
+		for _, e := range g.OutEdgesView(id) {
+			f.edges = append(f.edges, famEdge{f.px.id(e.From), f.idx[e.To.Node]})
+		}
+		f.edgeAt[2*i+2] = int32(len(f.edges))
+		for _, e := range f.edges[f.edgeAt[2*i]:] {
+			if e.peer >= 0 {
+				f.near[i] |= 1 << e.peer
+			}
+		}
+	}
+	f.comps, f.ports, f.steps = f.comps[:0], f.ports[:0], 0
+	f.compAt = sized(f.compAt, n+1)
+	for v := range n {
+		f.compAt[v] = int32(len(f.comps))
+		out := uint64(1)<<v - 1
+		ok := !f.enter(v, out, false) || f.grow(1<<v, out, f.near[v]&^out)
+		f.enter(v, out, true)
+		if !ok {
+			return false
+		}
+	}
+	f.compAt[n] = int32(len(f.comps))
+
+	f.minOuts = math.MaxInt32
+	for _, c := range f.comps {
+		f.minOuts = min(f.minOuts, c.outs)
+	}
+	f.sets, f.at = f.sets[:0], sized(f.at, n+1)
+	for v := range n {
+		f.at[v] = int32(len(f.sets))
+		comps := f.comps[f.compAt[v]:f.compAt[v+1]]
+		for _, c := range comps {
+			if c.set&(c.set-1) != 0 {
+				f.sets = append(f.sets, c.set)
+			}
+		}
+		for _, c := range comps {
+			if !f.unite(v, c.set, c.near, int(c.lo), int(c.hi), c.outs) {
+				return false
+			}
+		}
+		if len(f.sets) > maxFamily {
+			return false
+		}
+	}
+	f.at[n] = int32(len(f.sets))
+
+	f.words = (len(f.sets) + 63) >> 6
+	f.has = sized(f.has, n*f.words)
+	for t, s := range f.sets {
+		for ; s != 0; s &= s - 1 {
+			f.has[bits.TrailingZeros64(s)*f.words+t>>6] |= 1 << (t & 63)
+		}
+	}
+	f.slot = sized(f.slot, n+1)
+	for j := range n {
+		w := int32(0)
+		if a, b := f.at[j], f.at[j+1]; a < b {
+			w = (b-1)>>6 - a>>6 + 1
+		}
+		f.slot[j+1] = f.slot[j] + w
+	}
+	f.stride = int(f.slot[n])
+	f.lv = sized(f.lv, (n+1)*f.stride)
+	return true
+}
+
+// grow enumerates the fitting connected sets that contain in, exclude
+// out and can grow only through pend, the undecided blocks adjacent to
+// in, each exactly once: the lowest pending block joins, then stays
+// out. Its permanent demand covers the edges from in
+// to out and to nodes that are not partitionable; it only accumulates
+// along a branch, so a branch whose demand exceeds the budget is cut.
+// grow reports false when the enumeration outgrows its bounds.
+func (f *famSearcher) grow(in, out, pend uint64) bool {
+	if f.steps++; f.steps > maxFamilySteps {
+		return false
+	}
+	if pend == 0 {
+		return f.addComp(in)
+	}
+	w := bits.TrailingZeros64(pend)
+	pend &^= 1 << w
+	if f.enter(w, out, false) {
+		grown := in | 1<<w
+		if !f.grow(grown, out, pend|f.near[w]&^(grown|out)) {
+			return false
+		}
+	}
+	f.enter(w, out, true)
+	if f.leave(w, in, false) && !f.grow(in, out|1<<w, pend) {
+		return false
+	}
+	f.leave(w, in, true)
+	return true
+}
+
+// enter counts the permanent demand block w brings when it joins the
+// grown set: its edges to the blocks of out and to nodes that are not
+// partitionable. With undo it takes the counts back. It reports
+// whether the demand fits the budget.
+func (f *famSearcher) enter(w int, out uint64, undo bool) bool {
+	fits := true
+	for _, e := range f.edges[f.edgeAt[2*w]:f.edgeAt[2*w+1]] {
+		if e.peer < 0 || out>>e.peer&1 != 0 {
+			fits = bump(f.extIn, &f.inputs, e.port, undo) <= f.c.MaxInputs && fits
+		}
+	}
+	for _, e := range f.edges[f.edgeAt[2*w+1]:f.edgeAt[2*w+2]] {
+		if e.peer < 0 || out>>e.peer&1 != 0 {
+			fits = bump(f.outLv, &f.outputs, e.port, undo) <= f.c.MaxOutputs && fits
+		}
+	}
+	return fits
+}
+
+// leave counts the permanent demand block w brings when it stays out
+// of the grown set in: its edges to members. With undo it takes the
+// counts back. It reports whether the demand fits the budget.
+func (f *famSearcher) leave(w int, in uint64, undo bool) bool {
+	fits := true
+	for _, e := range f.edges[f.edgeAt[2*w]:f.edgeAt[2*w+1]] {
+		if e.peer >= 0 && in>>e.peer&1 != 0 {
+			fits = bump(f.outLv, &f.outputs, e.port, undo) <= f.c.MaxOutputs && fits
+		}
+	}
+	for _, e := range f.edges[f.edgeAt[2*w+1]:f.edgeAt[2*w+2]] {
+		if e.peer >= 0 && in>>e.peer&1 != 0 {
+			fits = bump(f.extIn, &f.inputs, e.port, undo) <= f.c.MaxInputs && fits
+		}
+	}
+	return fits
+}
+
+// bump moves port p's edge counter in cnt by one, up or down with
+// undo, keeping *ports, the number of ports with edges, and returns it.
+func bump(cnt []int32, ports *int, p int32, undo bool) int {
+	if undo {
+		if cnt[p]--; cnt[p] == 0 {
+			*ports--
+		}
+	} else if cnt[p]++; cnt[p] == 1 {
+		*ports++
+	}
+	return *ports
+}
+
+// addComp records the grown set as a fitting connected set: its
+// permanent demand is its whole demand now that no block is pending.
+func (f *famSearcher) addComp(set uint64) bool {
+	if f.c.RequireConvex && !f.g.IsConvex(f.nodeSet(f.tmp, set)) {
+		return true
+	}
+	c := famComp{set: set, near: set, lo: int32(len(f.ports)), outs: int32(f.outputs)}
+	for m := set; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		c.near |= f.near[i]
+		for _, e := range f.edges[f.edgeAt[2*i]:f.edgeAt[2*i+1]] {
+			if (e.peer < 0 || set>>e.peer&1 == 0) && !slices.Contains(f.ports[c.lo:], e.port) {
+				f.ports = append(f.ports, e.port)
+			}
+		}
+	}
+	c.hi = int32(len(f.ports))
+	slices.Sort(f.ports[c.lo:])
+	f.comps = append(f.comps, c)
+	return len(f.comps) <= maxFamily
+}
+
+// unite records every fitting union of the union u, whose lowest
+// component has block r lowest, with further connected sets, each
+// lowest at a block above r and clear of u's neighbourhood near. u
+// has input ports ports[lo:hi] and outs outputs: a union's inputs are
+// its components' input ports together, and its outputs theirs added
+// up, since no edge joins two of them. Both only grow with the union,
+// and so does non-convexity (a path from one component to another
+// leaves through a neighbour, which no later component may hold), so a
+// union over the budget is not extended. unite reports false when the
+// enumeration outgrows its bounds.
+func (f *famSearcher) unite(r int, set, near uint64, lo, hi int, outs int32) bool {
+	if int(outs+f.minOuts) > f.c.MaxOutputs {
+		return true // no component fits the outputs left
+	}
+	for roots := f.full &^ near &^ (uint64(2)<<r - 1); roots != 0; roots &= roots - 1 {
+		v := bits.TrailingZeros64(roots)
+		for k := f.compAt[v]; k < f.compAt[v+1]; k++ {
+			c := f.comps[k]
+			if f.steps++; f.steps > maxFamilySteps {
+				return false
+			}
+			if c.set&near != 0 || int(outs+c.outs) > f.c.MaxOutputs {
+				continue
+			}
+			mid, u := len(f.ports), set|c.set
+			if f.mergePorts(lo, hi, int(c.lo), int(c.hi)) &&
+				(!f.c.RequireConvex || f.g.IsConvex(f.nodeSet(f.tmp, u))) {
+				f.sets = append(f.sets, u)
+				if len(f.sets) > maxFamily || !f.unite(v, u, near|c.near, mid, len(f.ports), outs+c.outs) {
+					return false
+				}
+			}
+			f.ports = f.ports[:mid]
+		}
+	}
+	return true
+}
+
+// mergePorts appends the union of the ascending port lists ports[a:ae]
+// and ports[b:be] to ports, and reports whether it fits the input
+// budget; it stops early when it does not.
+func (f *famSearcher) mergePorts(a, ae, b, be int) bool {
+	for n := 0; a < ae || b < be; n++ {
+		if n == f.c.MaxInputs {
+			return false
+		}
+		switch {
+		case b == be || (a < ae && f.ports[a] < f.ports[b]):
+			f.ports = append(f.ports, f.ports[a])
+			a++
+		case a == ae || f.ports[b] < f.ports[a]:
+			f.ports = append(f.ports, f.ports[b])
+			b++
+		default:
+			f.ports = append(f.ports, f.ports[a])
+			a, b = a+1, b+1
+		}
+	}
+	return true
 }

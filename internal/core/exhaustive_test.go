@@ -4,9 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/graph"
+	"repro/internal/randgen"
 )
 
 func TestExhaustiveChain(t *testing.T) {
@@ -121,13 +125,19 @@ func TestExhaustiveSeededBound(t *testing.T) {
 	}
 }
 
+// TestExhaustiveCancellation cancels a 40-block search that runs for
+// more than 10 s uncancelled on either engine: Exhaustive's own, the
+// family engine here, and the permanent-demand engine alone.
 func TestExhaustiveCancellation(t *testing.T) {
 	g := randomTestDAG(rand.New(rand.NewSource(31)), 40)
-	for _, workers := range []int{0, 1} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, engine := range []struct {
+		name   string
+		family bool
+	}{{"family", true}, {"permanent-demand", false}} {
+		t.Run(engine.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 			defer cancel()
-			_, err := Exhaustive(g, DefaultConstraints, ExhaustiveOptions{Ctx: ctx, Workers: workers})
+			_, err := exhaustive(g, DefaultConstraints, ExhaustiveOptions{Ctx: ctx}, engine.family)
 			if err == nil {
 				t.Fatal("search finished before the deadline: the design is too small to exercise cancellation")
 			}
@@ -150,5 +160,60 @@ func TestExhaustiveConvexMode(t *testing.T) {
 	}
 	if res.Cost() != 1 {
 		t.Fatalf("convex optimal cost = %d", res.Cost())
+	}
+}
+
+// TestExhaustiveLooseBudgets runs 30-block randgen designs at an 8x8
+// budget, where the fitting groups number in the millions: the family
+// engine must give its list up early and leave the search to the
+// permanent-demand engine, which solves each in well under a
+// millisecond. Each call must finish within 100 ms (300 ms under the
+// race detector) and allocate under 16 MB, and its result must be valid
+// and cost no more than PareDown's. Then every budget shape that
+// Constraints.Validate accepts, from 1 to 64 ports a side, must still
+// work on a 13-block design.
+func TestExhaustiveLooseBudgets(t *testing.T) {
+	limit := 100 * time.Millisecond
+	if raceEnabled {
+		limit *= 3
+	}
+	check := func(name string, g *graph.Graph, c Constraints) {
+		t.Helper()
+		pd, err := PareDown(g, c, PareDownOptions{})
+		if err != nil {
+			t.Fatalf("%s: PareDown: %v", name, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		res, err := Exhaustive(g, c, ExhaustiveOptions{})
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := res.Validate(g, c); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if res.Cost() > pd.Cost() {
+			t.Errorf("%s: cost %d, PareDown's %d", name, res.Cost(), pd.Cost())
+		}
+		if elapsed > limit {
+			t.Errorf("%s: took %v, want at most %v", name, elapsed, limit)
+		}
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= 16<<20 {
+			t.Errorf("%s: allocated %d bytes, want under 16 MB", name, bytes)
+		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		g := randgen.MustGenerate(randgen.Params{InnerBlocks: 30, Seed: seed}).Graph()
+		check(fmt.Sprintf("30 blocks, seed %d, 8x8", seed), g, Constraints{MaxInputs: 8, MaxOutputs: 8})
+	}
+	g := randgen.MustGenerate(randgen.Params{InnerBlocks: 13, Seed: 1}).Graph()
+	sides := []int{1, 2, 3, 5, 8, 16, 33, 64}
+	for _, in := range sides {
+		for _, out := range sides {
+			check(fmt.Sprintf("13 blocks, %dx%d", in, out), g, Constraints{MaxInputs: in, MaxOutputs: out})
+		}
 	}
 }

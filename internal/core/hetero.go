@@ -133,7 +133,11 @@ func PareDownHetero(g *graph.Graph, p HeteroProblem, opts PareDownOptions) (*Het
 				candidate.ForEach(blocks.Remove)
 				break
 			}
-			rk.remove(rk.pick().Node)
+			r, err := rk.pickMember()
+			if err != nil {
+				return nil, err
+			}
+			rk.remove(r.Node)
 		}
 	}
 	res.Uncovered = uncoveredFrom(g, accepted)

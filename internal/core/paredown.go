@@ -117,51 +117,63 @@ func PareDown(g *graph.Graph, c Constraints, opts PareDownOptions) (*Result, err
 		if opts.Trace != nil {
 			opts.Trace(TraceEvent{Kind: KindCandidate, Candidate: candidate.Clone(), IO: ev.IO()})
 		}
-		for ev.Len() > 0 {
-			res.FitChecks++
-			if ev.Fits(c) && pareAcyclicWith(g, c, res.Partitions, candidate) {
-				if ev.Len() > 1 {
-					res.Partitions = append(res.Partitions, candidate.Clone())
-					if opts.Trace != nil {
-						opts.Trace(TraceEvent{Kind: KindAccept, Candidate: candidate.Clone(), IO: ev.IO()})
-					}
-				} else if opts.Trace != nil {
-					opts.Trace(TraceEvent{Kind: KindRejectSingleton, Candidate: candidate.Clone(), IO: ev.IO()})
-				}
-				candidate.ForEach(blocks.Remove)
-				break
-			}
-			if ev.Len() == 1 {
-				// A lone block that does not fit even by itself (e.g. a
-				// 3-input gate against a 2x2 budget) can never be pared
-				// into a fitting candidate on this path; it stays a
-				// pre-defined block. This is the "partition contains
-				// zero blocks" corner of Figure 4 — without removing
-				// the block from the pool the outer loop would never
-				// terminate.
-				if opts.Trace != nil {
-					opts.Trace(TraceEvent{Kind: KindRejectSingleton, Candidate: candidate.Clone(), IO: ev.IO()})
-				}
-				candidate.ForEach(blocks.Remove)
-				break
-			}
-			removed := rk.pick()
-			if opts.Trace != nil {
-				opts.Trace(TraceEvent{
-					Kind:      KindRemove,
-					Candidate: candidate.Clone(),
-					IO:        ev.IO(),
-					Node:      removed.Node,
-					Rank:      removed.Rank,
-					Border:    rk.ranked(),
-				})
-			}
-			rk.remove(removed.Node)
+		if err := rk.pare(c, res, opts); err != nil {
+			return nil, err
 		}
+		candidate.ForEach(blocks.Remove)
 	}
 	res.Uncovered = uncoveredFrom(g, res.Partitions)
 	ws.put()
 	return res, nil
+}
+
+// pare runs Figure 4's inner loop on the candidate rk holds: while the
+// candidate does not fit it removes the least border block, and it
+// accepts the fitting candidate into res when it has more than one
+// member. A lone block that does not fit even by itself (e.g. a
+// 3-input gate against a 2x2 budget) can never be pared into a fitting
+// candidate on this path; it stays a pre-defined block. This is the
+// "partition contains zero blocks" corner of Figure 4. Either way the
+// candidate is decided when pare returns, and the caller takes it out
+// of the block pool.
+func (rk *ranker) pare(c Constraints, res *Result, opts PareDownOptions) error {
+	ev := rk.ev
+	candidate := ev.Members()
+	for {
+		res.FitChecks++
+		if ev.Fits(c) && pareAcyclicWith(ev.g, c, res.Partitions, candidate) {
+			if ev.Len() > 1 {
+				res.Partitions = append(res.Partitions, candidate.Clone())
+				if opts.Trace != nil {
+					opts.Trace(TraceEvent{Kind: KindAccept, Candidate: candidate.Clone(), IO: ev.IO()})
+				}
+			} else if opts.Trace != nil {
+				opts.Trace(TraceEvent{Kind: KindRejectSingleton, Candidate: candidate.Clone(), IO: ev.IO()})
+			}
+			return nil
+		}
+		if ev.Len() == 1 {
+			if opts.Trace != nil {
+				opts.Trace(TraceEvent{Kind: KindRejectSingleton, Candidate: candidate.Clone(), IO: ev.IO()})
+			}
+			return nil
+		}
+		removed, err := rk.pickMember()
+		if err != nil {
+			return err
+		}
+		if opts.Trace != nil {
+			opts.Trace(TraceEvent{
+				Kind:      KindRemove,
+				Candidate: candidate.Clone(),
+				IO:        ev.IO(),
+				Node:      removed.Node,
+				Rank:      removed.Rank,
+				Border:    rk.ranked(),
+			})
+		}
+		rk.remove(removed.Node)
+	}
 }
 
 // pareAcyclicWith guards the RequireConvex mode: accepting `candidate`
@@ -447,6 +459,18 @@ func (rk *ranker) pick() RankedNode {
 		}
 	}
 	return highestLevel(rk.ev.g, rk.levels, rk.ev.Members().Sorted())
+}
+
+// pickMember returns pick's block, or an internal error when that
+// block is not in the candidate. Removing a non-member changes
+// nothing, so a ranker fault that picked one would spin a pare loop
+// forever; the error stops it instead.
+func (rk *ranker) pickMember() (RankedNode, error) {
+	r := rk.pick()
+	if !rk.ev.Has(r.Node) {
+		return r, fmt.Errorf("core: internal error: the pare step picked node %d, which is not in the candidate", r.Node)
+	}
+	return r, nil
 }
 
 // ranked returns the candidate's border sorted by removal priority, a

@@ -8,8 +8,8 @@ import (
 
 // This file preserves the pre-v2 ("seed") implementations of the three
 // partitioning algorithms as executable references. The v2 engine
-// (incremental Evaluator, allocation-free fit checks, parallel
-// exhaustive search) must return results identical to these on every
+// (incremental Evaluator, allocation-free fit checks, both exhaustive
+// engines) must return results identical to these on every
 // workload — see crosscheck_test.go — and the benchmarks in
 // speed_bench_test.go measure the v2 engine against them.
 //

@@ -81,23 +81,24 @@ func BenchmarkPareDownTable2(b *testing.B) {
 }
 
 // BenchmarkExhaustive12 measures the optimal search on a 12-inner
-// random design: v2 (incremental permanent-demand groups, the pruning
-// rules of Exhaustive, pooled storage) vs the seed (map-based
-// feasibility probe per node).
+// random design: v2 (Exhaustive: the family engine, the pruning rules
+// of Exhaustive, pooled storage), v2-permanent-demand (the engine it
+// falls back to, on incremental permanent-demand groups) and the seed
+// (map-based feasibility probe per node).
 func BenchmarkExhaustive12(b *testing.B) {
 	g := exhaustive12Graph(b)
 	b.Run("v2", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Exhaustive(g, DefaultConstraints, ExhaustiveOptions{Workers: 1}); err != nil {
+			if _, err := Exhaustive(g, DefaultConstraints, ExhaustiveOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("v2-parallel", func(b *testing.B) {
+	b.Run("v2-permanent-demand", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := Exhaustive(g, DefaultConstraints, ExhaustiveOptions{}); err != nil {
+			if _, err := exhaustive(g, DefaultConstraints, ExhaustiveOptions{}, false); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -8,13 +8,13 @@ import (
 
 // workspace holds every array one partitioning call needs: the level
 // table and its Kahn scratch, the partitionable list, the block pool,
-// an Evaluator, a ranker and an exhaustive searcher with its pooled
-// group records. PareDown, PareDownHetero, Aggregation and Exhaustive
-// take one from workspaces at entry and hand it back on a normal
-// return; Exhaustive's inline run and task enumerator search on that
-// one, and each fan-out worker takes one of its own. So a warm process
-// partitions without heap work beyond the Result itself. Three rules
-// keep the reuse invisible:
+// an Evaluator, a ranker, and both exhaustive engines' searchers, the
+// permanent-demand one with its pooled group records and the family
+// one with its family and levels. PareDown, PareDownHetero,
+// Aggregation and Exhaustive take one from workspaces at entry and
+// hand it back on a normal return. So a warm process partitions
+// without heap work beyond the Result itself. Three rules keep the
+// reuse invisible:
 //
 //   - Every array a call reads is reset for that call's graph at entry
 //     (sized, and the bind methods). Nothing one call computes is read
@@ -34,11 +34,15 @@ type workspace struct {
 	ev     Evaluator
 	rk     ranker
 	s      exSearcher
-	shared exShared
+	f      famSearcher
 }
 
 var workspaces = sync.Pool{New: func() any {
-	return &workspace{blocks: graph.NewNodeSet(), ev: Evaluator{members: graph.NewNodeSet()}}
+	return &workspace{
+		blocks: graph.NewNodeSet(),
+		ev:     Evaluator{members: graph.NewNodeSet()},
+		f:      famSearcher{tmp: graph.NewNodeSet()},
+	}
 }}
 
 // getWorkspace takes a workspace from the pool.
@@ -49,7 +53,8 @@ func getWorkspace() *workspace { return workspaces.Get().(*workspace) }
 func (ws *workspace) put() {
 	ws.ev.g = nil
 	ws.rk.ev, ws.rk.levels = nil, nil
-	ws.s.g, ws.s.opts, ws.s.inner, ws.s.shared, ws.s.bestParts = nil, ExhaustiveOptions{}, nil, nil, nil
+	ws.s.g, ws.s.opts, ws.s.inner, ws.s.parts = nil, ExhaustiveOptions{}, nil, nil
+	ws.f.g, ws.f.opts, ws.f.inner, ws.f.parts = nil, ExhaustiveOptions{}, nil, nil
 	workspaces.Put(ws)
 }
 

@@ -69,7 +69,8 @@ func poisonWorkspace() {
 		// Small stamps, which the first epochs of a search reuse.
 		s.stampIn, s.stampOut = append(s.stampIn, p%32+1), append(s.stampOut, (p+16)%32+1)
 	}
-	s.epoch, s.unassigned, s.visited, s.best, s.bestCovered, s.found = 1, 5, 7, 1, 99, true
+	s.epoch, s.unassigned, s.visited = 1, 5, 7
+	s.incumbent = incumbent{cost: 1, covered: 99, parts: []graph.NodeSet{graph.NewNodeSet(3)}}
 	for len(s.free) < 8 {
 		s.free = append(s.free, &exGroup{members: graph.NewNodeSet()})
 	}
@@ -79,7 +80,25 @@ func poisonWorkspace() {
 		grp.size, grp.inputs, grp.outputs = 3, 1, 1
 		grp.extIn, grp.outLv = filled(grp.extIn, n, 1), filled(grp.outLv, n, 1)
 	}
-	ws.shared.bound.Store(0)
+	f := &ws.f
+	f.full, f.unassigned, f.visited, f.built = 5, 4, 9, true
+	f.incumbent = incumbent{cost: 1, covered: 99, parts: []graph.NodeSet{graph.NewNodeSet(3)}}
+	f.sets, f.at, f.words = filled(f.sets, n, 3), filled(f.at, n, 1), 2
+	f.has, f.slot = filled(f.has, n, ^uint64(0)), filled(f.slot, n, 1)
+	f.lv, f.stride = filled(f.lv, n, ^uint64(0)), 3
+	f.open = filled(f.open, 3, famOpen{members: 6, off: 1, lo: 2, w: 3})
+	f.px.base, f.px.n = filled(f.px.base, n, 2), 5
+	f.px.drivers = filled(f.px.drivers, n, driver{node: 2, port: 3, cnt: 1})
+	f.px.drvAt, f.px.cons = filled(f.px.drvAt, n, 2), filled(f.px.cons, n, 3)
+	f.idx, f.near = filled(f.idx, n, 0), filled(f.near, n, ^uint64(0))
+	f.extIn, f.outLv = filled(f.extIn, n, 1), filled(f.outLv, n, 1)
+	f.inputs, f.outputs = 7, 7
+	f.comps = filled(f.comps, n, famComp{set: 3, near: 7, lo: 0, hi: 1, outs: 1})
+	f.compAt, f.ports, f.steps = filled(f.compAt, n, 0), filled(f.ports, n, 1), 1<<20
+	f.tmp.Add(5)
+	for len(f.groupSets) < 4 {
+		f.groupSets = append(f.groupSets, graph.NewNodeSet(3, 4))
+	}
 	ws.put()
 }
 

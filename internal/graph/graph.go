@@ -436,8 +436,8 @@ func (g *Graph) NodeIDs() []NodeID {
 // insertion order.
 func (g *Graph) NodesWithRole(r Role) []NodeID {
 	var out []NodeID
-	for i, nd := range g.nodes {
-		if nd.role == r {
+	for i := range g.nodes {
+		if g.nodes[i].role == r {
 			out = append(out, NodeID(i))
 		}
 	}
@@ -467,8 +467,8 @@ func (g *Graph) PartitionableNodes() []NodeID { return g.AppendPartitionableNode
 // insertion order, to dst and returns the extended slice; an
 // allocation-free PartitionableNodes for callers that reuse dst.
 func (g *Graph) AppendPartitionableNodes(dst []NodeID) []NodeID {
-	for i, nd := range g.nodes {
-		if nd.role == RoleInner && !nd.pinned {
+	for i := range g.nodes {
+		if nd := &g.nodes[i]; nd.role == RoleInner && !nd.pinned {
 			dst = append(dst, NodeID(i))
 		}
 	}

@@ -294,3 +294,25 @@ func TestPinViewsOverSharedStorage(t *testing.T) {
 		t.Fatal("connecting one node disturbed its neighbors' in-edge lists")
 	}
 }
+
+// TestNodeSetCloneOneAllocation pins Clone's layout: a set whose
+// highest member is below 1,024 is copied in one allocation, its words
+// inside the header's, and every clone, of a set past that too, is
+// independent of the original and can grow past its copied words.
+func TestNodeSetCloneOneAllocation(t *testing.T) {
+	for _, hi := range []NodeID{0, 100, 1023, 1024, 5000} {
+		s := NewNodeSet(3, hi)
+		s.Add(hi + 64)
+		s.Remove(hi + 64) // a trailing zero word the clone need not keep
+		allocs := testing.AllocsPerRun(10, func() { _ = s.Clone() })
+		if want := 1.0; hi < 1024 && allocs != want {
+			t.Errorf("cloning {3 %d} made %.0f allocations, want %.0f", hi, allocs, want)
+		}
+		c := s.Clone()
+		c.Add(hi + 200)
+		c.Remove(3)
+		if !s.Has(3) || s.Has(hi+200) || !c.Has(hi) || !c.Has(hi+200) || c.Len() != 2 || s.Len() != 2 {
+			t.Errorf("clone of {3 %d} is not independent: original %v, clone %v", hi, s, c)
+		}
+	}
+}

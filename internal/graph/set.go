@@ -82,12 +82,34 @@ func (s NodeSet) Len() int {
 	return s.b.n
 }
 
-// Clone returns an independent copy.
+// Clone returns an independent copy. The copy keeps the words up to
+// its highest member, and when they are few it keeps them in its
+// header's own allocation, so cloning a set of up to 1,024 IDs
+// allocates once.
 func (s NodeSet) Clone() NodeSet {
-	c := &bitset{n: s.b.n}
-	if len(s.b.words) > 0 {
-		c.words = append([]uint64(nil), s.b.words...)
+	w := s.b.words
+	for len(w) > 0 && w[len(w)-1] == 0 {
+		w = w[:len(w)-1]
 	}
+	var c *bitset
+	switch {
+	case len(w) <= 2:
+		o := new(struct {
+			bitset
+			inline [2]uint64
+		})
+		c, o.words = &o.bitset, o.inline[:len(w)]
+	case len(w) <= 16:
+		o := new(struct {
+			bitset
+			inline [16]uint64
+		})
+		c, o.words = &o.bitset, o.inline[:len(w)]
+	default:
+		c = &bitset{words: make([]uint64, len(w))}
+	}
+	copy(c.words, w)
+	c.n = s.b.n
 	return NodeSet{b: c}
 }
 

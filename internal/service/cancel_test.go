@@ -35,14 +35,13 @@ func waitGoroutines(t *testing.T, n int) {
 }
 
 // TestBoundedCompute: work that no request waits for any more stops.
-// The optimal search of a 24-block random design runs for seconds; a
-// synthesize, verify or partition request for it under a 200 ms
-// deadline returns within 100 ms of that deadline, with or without the
-// race detector, with context.DeadlineExceeded, and leaves no flight
-// and no goroutine behind. Config.Workers is left at its default, so the
-// parallel search is the one being cancelled.
+// The optimal search of a 45-block random design runs for more than
+// 10 s; a synthesize, verify or partition request for it under a
+// 200 ms deadline returns within 100 ms of that deadline, with or
+// without the race detector, with context.DeadlineExceeded, and leaves
+// no flight and no goroutine behind.
 func TestBoundedCompute(t *testing.T) {
-	d, err := randgen.Generate(randgen.Params{InnerBlocks: 24, Seed: 3})
+	d, err := randgen.Generate(randgen.Params{InnerBlocks: 45, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
