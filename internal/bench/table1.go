@@ -115,10 +115,10 @@ func RunTable1(opts Table1Options) ([]Table1Row, error) {
 		if len(g.PartitionableNodes()) <= opts.limit() {
 			ctx, cancel := context.WithTimeout(context.Background(), opts.timeout())
 			start = time.Now()
-			// Each exhaustive search runs sequentially so the per-row
-			// ExhTime column mirrors the paper's single-threaded
+			// The exhaustive search runs on this goroutine, so the
+			// per-row ExhTime column mirrors the paper's single-threaded
 			// methodology; the harness parallelizes across rows.
-			ex, err := core.Exhaustive(g, c, core.ExhaustiveOptions{Ctx: ctx, Workers: 1})
+			ex, err := core.Exhaustive(g, c, core.ExhaustiveOptions{Ctx: ctx})
 			elapsed := time.Since(start)
 			cancel()
 			if err == nil {

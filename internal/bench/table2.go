@@ -170,10 +170,10 @@ func RunTable2(opts Table2Options) ([]Table2Row, error) {
 		if size <= opts.limit() && !timedOut[si].Load() {
 			ctx, cancel := context.WithTimeout(context.Background(), opts.timeout())
 			start = time.Now()
-			// Sequential search per design: ExhTime mirrors the paper's
-			// single-threaded methodology; parallelism lives at the
-			// work-item level.
-			ex, err := core.Exhaustive(g, c, core.ExhaustiveOptions{Ctx: ctx, Workers: 1})
+			// Sequential search per design (on this goroutine): ExhTime
+			// mirrors the paper's single-threaded methodology;
+			// parallelism lives at the work-item level.
+			ex, err := core.Exhaustive(g, c, core.ExhaustiveOptions{Ctx: ctx})
 			cell.exTime = time.Since(start)
 			cancel()
 			if err == context.DeadlineExceeded {

@@ -11,7 +11,7 @@ import (
 )
 
 // The v2 partitioning engine (bitset node sets, incremental fit
-// checks, parallel exhaustive search) must be observably identical to
+// checks, both exhaustive engines) must be observably identical to
 // the seed algorithms it replaced: same cost, same coverage, same
 // partitions, and every result valid. These tests drive the registry
 // entry points against the preserved seed implementations (see
@@ -119,7 +119,7 @@ func TestV2ExhaustiveMatchesSeed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want, err := seedExhaustive(g, DefaultConstraints, ExhaustiveOptions{})
+		want, err := seedExhaustive(g, DefaultConstraints, seedExhaustiveOptions{})
 		if err != nil {
 			t.Fatalf("%s: seed: %v", name, err)
 		}
@@ -127,15 +127,14 @@ func TestV2ExhaustiveMatchesSeed(t *testing.T) {
 	}
 }
 
-// TestV2ExhaustiveMatchesSeedProperty compares the exhaustive search
+// TestV2ExhaustiveMatchesSeedProperty compares both exhaustive engines
 // with the seed reference on small random designs under random budgets:
-// plain, with RequireConvex and with a random InitialBound, a quarter of
-// the trials each (the last quarter plain again), on one and two
-// workers. Both sides return the same partitions and uncovered list, or
-// both report that the seed bound stands.
+// plain, with RequireConvex and with each inner block pinned at odds of
+// one in four, a quarter of the trials each (the last quarter plain
+// again). All three return the same partitions and uncovered list.
 func TestV2ExhaustiveMatchesSeedProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	compared, stands := 0, 0
+	pinned := 0
 	for trial := 0; trial < 600; trial++ {
 		var g *graph.Graph
 		if trial%2 == 0 {
@@ -144,57 +143,32 @@ func TestV2ExhaustiveMatchesSeedProperty(t *testing.T) {
 			g = randgen.MustGenerate(randgen.Params{InnerBlocks: 3 + rng.Intn(8), Seed: rng.Int63()}).Graph()
 		}
 		c := Constraints{MaxInputs: 1 + rng.Intn(3), MaxOutputs: 1 + rng.Intn(3)}
-		var opts ExhaustiveOptions
 		switch (trial / 2) % 4 {
 		case 1:
 			c.RequireConvex = true
 		case 2:
-			opts.InitialBound = 1 + rng.Intn(len(g.PartitionableNodes()))
-		}
-		want, wantErr := seedExhaustive(g, c, opts)
-		if wantErr != nil && !IsSeedStands(wantErr) {
-			t.Fatalf("trial %d: seed: %v", trial, wantErr)
-		}
-		for _, workers := range []int{1, 2} {
-			opts.Workers = workers
-			name := fmt.Sprintf("trial %d (%+v, %+v)", trial, c, opts)
-			got, err := Exhaustive(g, c, opts)
-			if IsSeedStands(err) != IsSeedStands(wantErr) {
-				t.Fatalf("%s: err %v, seed %v", name, err, wantErr)
+			for _, id := range g.InnerNodes() {
+				g.SetPinned(id, rng.Intn(4) == 0)
 			}
-			if IsSeedStands(err) {
-				stands++
-				continue
+			if len(g.PartitionableNodes()) < len(g.InnerNodes()) {
+				pinned++
 			}
+		}
+		want, err := seedExhaustive(g, c, seedExhaustiveOptions{})
+		if err != nil {
+			t.Fatalf("trial %d: seed: %v", trial, err)
+		}
+		for _, family := range []bool{true, false} {
+			name := fmt.Sprintf("trial %d (%+v, %d pinned, family engine %v)", trial, c, len(g.InnerNodes())-len(g.PartitionableNodes()), family)
+			got, err := exhaustive(g, c, ExhaustiveOptions{}, family)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			assertSameResult(t, g, c, name, got, want)
-			compared++
 		}
 	}
-	t.Logf("%d results compared, %d seed bounds stood on both sides", compared, stands)
-}
-
-// TestV2ExhaustiveParallelDeterminism pins the parallel search to the
-// sequential one: any worker count returns the identical result.
-func TestV2ExhaustiveParallelDeterminism(t *testing.T) {
-	for i := 0; i < 4; i++ {
-		size := 10 + i
-		d := randgen.MustGenerate(randgen.Params{InnerBlocks: size, Seed: int64(7100 + i)})
-		g := d.Graph()
-		seq, err := Exhaustive(g, DefaultConstraints, ExhaustiveOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 4, 8} {
-			par, err := Exhaustive(g, DefaultConstraints, ExhaustiveOptions{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := fmt.Sprintf("size=%d workers=%d", size, workers)
-			assertSameResult(t, g, DefaultConstraints, name, par, seq)
-		}
+	if pinned < 100 {
+		t.Fatalf("%d of the 150 pinned-quarter designs have a pinned block, want at least 100", pinned)
 	}
 }
 

@@ -16,14 +16,6 @@ type ExhaustiveOptions struct {
 	// aborted its 14-inner-block run after four hours). Cancellation
 	// returns ctx.Err().
 	Ctx context.Context
-	// InitialBound seeds branch-and-bound with a known-achievable cost
-	// (e.g. the PareDown result). 0 means no seed.
-	InitialBound int
-	// DisableBound turns branch-and-bound off, the cost bound and all
-	// four pruning rules of Exhaustive, leaving only the paper's
-	// empty-block symmetry pruning, like the 2005 implementation. Tests
-	// use it to check that pruning keeps the optimal cost.
-	DisableBound bool
 	// Workers is ignored: the search runs on the calling goroutine. It
 	// remains so that callers which set it keep compiling.
 	Workers int
@@ -41,12 +33,11 @@ type ExhaustiveOptions struct {
 //
 // Branch-and-bound on top cuts a branch once no leaf below it can be
 // strictly better than the incumbent, which starts as the PareDown
-// solution or the seeded InitialBound: when the branch already costs
-// more than the incumbent, or by one of four rules:
+// solution: when the branch already costs more than the incumbent, or
+// by one of four rules:
 //
 //  1. Coverage: at the incumbent's cost, a branch that would not cover
-//     more blocks even if every undecided block joined a group. A
-//     seeded InitialBound counts as covering everything.
+//     more blocks even if every undecided block joined a group.
 //  2. Children first: the unassigned and new-group children are tested
 //     before they are placed, and the last block opens no group, since
 //     a one-member group is never a partition.
@@ -70,16 +61,20 @@ type ExhaustiveOptions struct {
 //     is stuck when no open group's matches hold it, and a complete
 //     assignment needs no fit re-check. The list is built when the
 //     search first opens a group.
-//   - The permanent-demand engine runs instead for larger designs,
-//     with DisableBound, and when the list outgrows a fixed bound
-//     (loose budgets give some designs millions of fitting groups). It
-//     keeps each group's permanent I/O demand: only connectivity to
-//     already-decided or never-placeable nodes, since future additions
-//     can still internalize other edges (the convergence property that
-//     makes naive feasibility pruning unsound), so it never exceeds
-//     the group's demand at a leaf. It is maintained incrementally,
-//     O(degree) per block placement, and a leaf re-checks every group's
-//     full demand.
+//   - The permanent-demand engine runs instead for larger designs, and
+//     when the list outgrows a fixed bound (loose budgets give some
+//     designs millions of fitting groups). It keeps each group's
+//     permanent I/O demand: only connectivity to already-decided or
+//     never-placeable nodes, since future additions can still
+//     internalize other edges (the convergence property that makes
+//     naive feasibility pruning unsound). It is maintained
+//     incrementally, O(degree) per block placement, and it only grows
+//     to the group's whole demand, which it reaches once every block is
+//     decided, so a complete assignment needs no fit re-check either.
+//
+// Under RequireConvex a complete assignment must still contract to an
+// acyclic design (see exSearch.record). Exhaustive returns PareDown's
+// error as is: invalid constraints, or an internal fault.
 func Exhaustive(g *graph.Graph, c Constraints, opts ExhaustiveOptions) (*Result, error) {
 	return exhaustive(g, c, opts, true)
 }
@@ -87,73 +82,44 @@ func Exhaustive(g *graph.Graph, c Constraints, opts ExhaustiveOptions) (*Result,
 // exhaustive is Exhaustive on the family engine when family is set,
 // else on the permanent-demand engine alone.
 func exhaustive(g *graph.Graph, c Constraints, opts ExhaustiveOptions, family bool) (*Result, error) {
-	if err := c.Validate(); err != nil {
+	// Seed branch-and-bound with the PareDown solution, which also
+	// validates c: the search then only explores assignments that could
+	// beat the heuristic (in cost, or in coverage at equal cost), which
+	// prunes enormously while preserving optimality — if nothing better
+	// exists, the heuristic's solution *is* optimal and is returned as
+	// the incumbent.
+	pd, err := PareDown(g, c, PareDownOptions{})
+	if err != nil {
 		return nil, err
 	}
+	init := incumbent{cost: pd.Cost(), covered: pd.Covered(), parts: pd.Partitions}
 	ws := getWorkspace()
 	inner, _ := ws.partitionable(g)
-	n := len(inner)
 	res := &Result{Algorithm: "exhaustive"}
-
-	// Initial incumbent: cost of leaving everything uncovered, plus
-	// one; or the seeded bound; or the PareDown solution.
-	init := incumbent{cost: n + 1}
-	seeded := opts.InitialBound > 0 && opts.InitialBound <= n
-	switch {
-	case seeded:
-		// Only solutions strictly better than the seed are of
-		// interest; ties are not reported (covered sentinel).
-		init.cost, init.covered = opts.InitialBound, 1<<30
-	case !opts.DisableBound:
-		// Seed branch-and-bound with the PareDown solution: the search
-		// then only explores assignments that could beat the heuristic
-		// (in cost, or in coverage at equal cost), which prunes
-		// enormously while preserving optimality — if nothing better
-		// exists, the heuristic's solution *is* optimal and is
-		// returned as the incumbent.
-		if pd, err := PareDown(g, c, PareDownOptions{}); err == nil {
-			init = incumbent{cost: pd.Cost(), covered: pd.Covered(), parts: pd.Partitions}
-		}
-	}
-
 	best := &init
-	err := errFamilyBound
-	if family && n <= 64 && !opts.DisableBound {
-		f := ws.f.bind(g, c, opts, inner, init)
+	err = errFamilyBound
+	if family && len(inner) <= 64 {
+		f := ws.f.bind(g, c, opts.Ctx, inner, init)
 		err = f.search(0)
 		res.NodesVisited, best = f.visited, &f.incumbent
 	}
 	if err == errFamilyBound {
-		s := ws.s.bind(g, c, opts, inner, init)
+		s := ws.s.bind(g, c, opts.Ctx, inner, init)
 		err = s.search(0)
 		res.NodesVisited, best = res.NodesVisited+s.visited, &s.incumbent
 	}
 	if err != nil {
 		return nil, err
 	}
-	parts := best.parts
-	if parts == nil {
-		if seeded {
-			return nil, errSeedStands
-		}
-		// Unreachable: either the heuristic incumbent is present or the
-		// all-uncovered leaf (cost n) beats the initial bound n+1.
-		parts = []graph.NodeSet{}
+	res.Partitions = best.parts
+	if res.Partitions == nil {
+		// PareDown accepted no partition, and nothing beat it.
+		res.Partitions = []graph.NodeSet{}
 	}
-	res.Partitions = parts
-	res.Uncovered = uncoveredFrom(g, parts)
+	res.Uncovered = uncoveredFrom(g, res.Partitions)
 	ws.put()
 	return res, nil
 }
-
-// errSeedStands reports that the seeded InitialBound could not be
-// improved; callers that seeded the search should keep their seed
-// solution.
-var errSeedStands = fmt.Errorf("core: exhaustive search found no solution better than the seed bound")
-
-// IsSeedStands reports whether err means the seeded bound was already
-// optimal.
-func IsSeedStands(err error) bool { return err == errSeedStands }
 
 // errFamilyBound stops the family engine when the design's family of
 // fitting groups outgrows maxFamily or its enumeration outlasts
@@ -169,8 +135,7 @@ const (
 )
 
 // incumbent is a search's best complete assignment: its cost, the
-// blocks it covers and its partitions, which are nil only while nothing
-// has beaten a seeded InitialBound.
+// blocks it covers and its partitions.
 type incumbent struct {
 	cost    int
 	covered int
@@ -178,24 +143,68 @@ type incumbent struct {
 }
 
 // better reports whether a leaf of the given cost and coverage would
-// improve on the incumbent: fewer blocks, or as many covering more. A
-// branch none of whose leaves can be better is hopeless.
+// improve on the incumbent: fewer blocks, or as many covering more.
 func (in *incumbent) better(cost, covered int) bool {
 	return cost < in.cost || (cost == in.cost && covered > in.covered)
 }
 
-// exGroup is one open programmable-block group with its incrementally
-// maintained permanent I/O demand: extIn[p] counts edges from
-// *permanently external* output port p into members, outLv[p] counts
-// edges from member output port p to permanently external nodes, and
-// inputs/outputs tally the ports with non-zero counts. A node is
-// permanently external to a group once it has been decided (placed in
-// another group or left unassigned) or can never be placed (primary
-// inputs/outputs); edges to undecided nodes do not count, because a
-// future placement could still internalize them.
+// hopeless reports whether no leaf of at least the given cost that
+// covers at most covered blocks can beat the incumbent.
+func (in *incumbent) hopeless(cost, covered int) bool { return !in.better(cost, covered) }
+
+// exSearch is the state both engines share: the problem, the
+// incumbent, and the counts of blocks left unassigned and of nodes
+// visited.
+type exSearch struct {
+	g     *graph.Graph
+	c     Constraints
+	ctx   context.Context
+	inner []graph.NodeID
+	incumbent
+	unassigned int
+	visited    int64
+}
+
+// visit counts one more node and, every 1,024 nodes, reports whether
+// the context has ended. It inlines into both engines' search; the
+// poll itself is a call.
+func (x *exSearch) visit() error {
+	if x.visited++; x.visited%1024 != 0 || x.ctx == nil {
+		return nil
+	}
+	return x.ctx.Err()
+}
+
+// record makes the complete assignment of the given cost and coverage,
+// whose groups are parts, the incumbent. Under RequireConvex the groups
+// must first contract to an acyclic design, which also rejects a group
+// that is not convex itself: a path that leaves a group and re-enters
+// it closes a cycle once the group is contracted.
+func (x *exSearch) record(cost, covered int, parts []graph.NodeSet) {
+	if x.c.RequireConvex {
+		if ct, err := x.g.Contract(parts); err != nil || !ct.Acyclic() {
+			return
+		}
+	}
+	x.cost, x.covered = cost, covered
+	x.parts = make([]graph.NodeSet, len(parts))
+	for k, p := range parts {
+		x.parts[k] = p.Clone()
+	}
+}
+
+// exGroup is one open group of the permanent-demand engine with its
+// incrementally maintained permanent I/O demand: extIn[p] counts edges
+// from *permanently external* output port p into members, outLv[p]
+// counts edges from member output port p to permanently external
+// nodes, and inputs/outputs tally the ports with non-zero counts. A
+// node is permanently external to a group once it has been decided
+// (placed in another group or left unassigned) or can never be placed
+// (primary inputs and outputs, and pinned blocks); edges to undecided
+// nodes do not count, because a future placement could still
+// internalize them.
 type exGroup struct {
 	members graph.NodeSet
-	size    int
 	extIn   []int32
 	outLv   []int32
 	inputs  int
@@ -204,26 +213,20 @@ type exGroup struct {
 
 // exSearcher is the permanent-demand engine's search state.
 type exSearcher struct {
-	g     *graph.Graph
-	c     Constraints
-	opts  ExhaustiveOptions
-	inner []graph.NodeID
+	exSearch
 	// pos is by NodeID the index at which a node is decided: its index
-	// in inner; -1 for primary inputs and outputs, which are never
-	// placed; MaxInt32 for pinned inner blocks, which permanent never
-	// counts, matching the original snapshot computation.
+	// in inner, or -1 for the nodes that are never placed (primary
+	// inputs and outputs, and pinned blocks).
 	pos []int32
 	px  portIndex
 
-	incumbent
-	groups     []*exGroup
-	free       []*exGroup // pooled, zero-counter group records
-	groupOf    []int32    // by NodeID: open group index, or -1
-	unassigned int
-	visited    int64
+	groups    []*exGroup
+	free      []*exGroup      // pooled, zero-counter group records
+	groupOf   []int32         // by NodeID: open group index, or -1
+	groupSets []graph.NodeSet // the groups' members, at a leaf
 
-	// Scratch for fitsFull and joinable: epoch-stamped distinct-port
-	// counters, allocation-free.
+	// Scratch for joinable: epoch-stamped distinct-port counters,
+	// allocation-free.
 	stampIn  []int64
 	stampOut []int64
 	epoch    int64
@@ -233,8 +236,8 @@ type exSearcher struct {
 // with incumbent init, reusing its storage: every array is sized and
 // reset for g, no group is open, and every pooled group record is
 // zeroed for g's ports.
-func (s *exSearcher) bind(g *graph.Graph, c Constraints, opts ExhaustiveOptions, inner []graph.NodeID, init incumbent) *exSearcher {
-	s.g, s.c, s.opts, s.inner, s.incumbent = g, c, opts, inner, init
+func (s *exSearcher) bind(g *graph.Graph, c Constraints, ctx context.Context, inner []graph.NodeID, init incumbent) *exSearcher {
+	s.exSearch = exSearch{g: g, c: c, ctx: ctx, inner: inner, incumbent: init}
 	s.px.number(g)
 	s.pos = sized(s.pos, g.NumNodes())
 	s.groupOf = sized(s.groupOf, g.NumNodes())
@@ -242,11 +245,7 @@ func (s *exSearcher) bind(g *graph.Graph, c Constraints, opts ExhaustiveOptions,
 	s.stampOut = sized(s.stampOut, s.px.n)
 	s.epoch = 0
 	for i := range s.pos {
-		s.pos[i] = math.MaxInt32
-		if g.Role(graph.NodeID(i)) != graph.RoleInner {
-			s.pos[i] = -1
-		}
-		s.groupOf[i] = -1
+		s.pos[i], s.groupOf[i] = -1, -1
 	}
 	for i, id := range inner {
 		s.pos[id] = int32(i)
@@ -255,57 +254,20 @@ func (s *exSearcher) bind(g *graph.Graph, c Constraints, opts ExhaustiveOptions,
 	for _, grp := range s.free {
 		grp.reset(s.px.n)
 	}
-	s.unassigned, s.visited = 0, 0
 	return s
 }
 
 // reset empties grp and sizes its counters for n ports.
 func (grp *exGroup) reset(n int) {
 	grp.members.Clear()
-	grp.size, grp.inputs, grp.outputs = 0, 0, 0
+	grp.inputs, grp.outputs = 0, 0
 	grp.extIn = sized(grp.extIn, n)
 	grp.outLv = sized(grp.outLv, n)
 }
 
-// addIn counts one more permanent edge from external port p into the
-// group and reports whether its input demand still fits max.
-func (grp *exGroup) addIn(p int32, max int) bool {
-	grp.extIn[p]++
-	if grp.extIn[p] == 1 {
-		grp.inputs++
-	}
-	return grp.inputs <= max
-}
-
-// addOut counts one more permanent edge from member port p to a
-// non-member and reports whether its output demand still fits max.
-func (grp *exGroup) addOut(p int32, max int) bool {
-	grp.outLv[p]++
-	if grp.outLv[p] == 1 {
-		grp.outputs++
-	}
-	return grp.outputs <= max
-}
-
-// subIn reverses addIn.
-func (grp *exGroup) subIn(p int32) {
-	grp.extIn[p]--
-	if grp.extIn[p] == 0 {
-		grp.inputs--
-	}
-}
-
-// subOut reverses addOut.
-func (grp *exGroup) subOut(p int32) {
-	grp.outLv[p]--
-	if grp.outLv[p] == 0 {
-		grp.outputs--
-	}
-}
-
 // place decides block x: it joins group gi, or stays unassigned when
-// gi < 0. Every affected group's permanent demand is updated in
-// O(deg(x)):
+// gi < 0; with undo it takes that decision back. Every affected
+// group's permanent demand is updated in O(deg(x)):
 //
 //   - x is now decided, so its edges to members of *other* groups
 //     become permanent external connectivity for those groups;
@@ -318,18 +280,20 @@ func (grp *exGroup) subOut(p int32) {
 // budget. Demand only grows along a branch and never exceeds the
 // group's full demand at a leaf, so a group over the budget makes
 // every leaf below invalid.
-func (s *exSearcher) place(x graph.NodeID, gi int) bool {
+func (s *exSearcher) place(x graph.NodeID, gi int, undo bool) bool {
 	i := s.pos[x]
 	maxIn, maxOut := s.c.MaxInputs, s.c.MaxOutputs
 	fits := true
 	for _, e := range s.g.InEdgesView(x) {
 		if og := s.groupOf[e.From.Node]; og >= 0 && int(og) != gi {
-			fits = s.groups[og].addOut(s.px.id(e.From), maxOut) && fits
+			grp := s.groups[og]
+			fits = bump(grp.outLv, &grp.outputs, s.px.id(e.From), undo) <= maxOut && fits
 		}
 	}
 	for _, e := range s.g.OutEdgesView(x) {
 		if og := s.groupOf[e.To.Node]; og >= 0 && int(og) != gi {
-			fits = s.groups[og].addIn(s.px.id(e.From), maxIn) && fits
+			grp := s.groups[og]
+			fits = bump(grp.extIn, &grp.inputs, s.px.id(e.From), undo) <= maxIn && fits
 		}
 	}
 	if gi < 0 {
@@ -338,62 +302,30 @@ func (s *exSearcher) place(x graph.NodeID, gi int) bool {
 	grp := s.groups[gi]
 	for _, e := range s.g.InEdgesView(x) {
 		if u := e.From.Node; int(s.groupOf[u]) != gi && s.permanent(u, i) {
-			fits = grp.addIn(s.px.id(e.From), maxIn) && fits
+			fits = bump(grp.extIn, &grp.inputs, s.px.id(e.From), undo) <= maxIn && fits
 		}
 	}
 	for _, e := range s.g.OutEdgesView(x) {
 		if v := e.To.Node; int(s.groupOf[v]) != gi && s.permanent(v, i) {
-			fits = grp.addOut(s.px.id(e.From), maxOut) && fits
+			fits = bump(grp.outLv, &grp.outputs, s.px.id(e.From), undo) <= maxOut && fits
 		}
 	}
-	grp.members.Add(x)
-	grp.size++
-	s.groupOf[x] = int32(gi)
+	if undo {
+		grp.members.Remove(x)
+		s.groupOf[x] = -1
+	} else {
+		grp.members.Add(x)
+		s.groupOf[x] = int32(gi)
+	}
 	return fits
 }
 
-// unplace reverses place.
-func (s *exSearcher) unplace(x graph.NodeID, gi int) {
-	i := s.pos[x]
-	if gi >= 0 {
-		grp := s.groups[gi]
-		s.groupOf[x] = -1
-		grp.members.Remove(x)
-		grp.size--
-		for _, e := range s.g.InEdgesView(x) {
-			if u := e.From.Node; int(s.groupOf[u]) != gi && s.permanent(u, i) {
-				grp.subIn(s.px.id(e.From))
-			}
-		}
-		for _, e := range s.g.OutEdgesView(x) {
-			if v := e.To.Node; int(s.groupOf[v]) != gi && s.permanent(v, i) {
-				grp.subOut(s.px.id(e.From))
-			}
-		}
-	}
-	for _, e := range s.g.InEdgesView(x) {
-		if og := s.groupOf[e.From.Node]; og >= 0 && int(og) != gi {
-			s.groups[og].subOut(s.px.id(e.From))
-		}
-	}
-	for _, e := range s.g.OutEdgesView(x) {
-		if og := s.groupOf[e.To.Node]; og >= 0 && int(og) != gi {
-			s.groups[og].subIn(s.px.id(e.From))
-		}
-	}
-}
-
 // permanent reports whether node y can never join the group of the
-// block at index i: primary inputs and outputs can never be placed,
-// and inner blocks at earlier indexes are already decided.
+// block at index i: primary inputs and outputs and pinned blocks can
+// never be placed, and inner blocks at earlier indexes are already
+// decided.
 func (s *exSearcher) permanent(y graph.NodeID, i int32) bool {
 	return s.pos[y] < i
-}
-
-// hopeless reports whether no leaf of at least the given cost that
-// covers at most covered blocks can beat the incumbent.
-func (s *exSearcher) hopeless(cost, covered int) bool {
-	return !s.opts.DisableBound && !s.better(cost, covered)
 }
 
 // stuck reports whether some undecided block fits no open group even
@@ -470,13 +402,8 @@ func (s *exSearcher) closeGroup() {
 // returns at once without undoing any placement: the caller abandons
 // the searcher.
 func (s *exSearcher) search(i int) error {
-	s.visited++
-	if s.opts.Ctx != nil && s.visited%1024 == 0 {
-		select {
-		case <-s.opts.Ctx.Done():
-			return s.opts.Ctx.Err()
-		default:
-		}
+	if err := s.visit(); err != nil {
+		return err
 	}
 	if i == len(s.inner) {
 		s.leaf()
@@ -488,132 +415,80 @@ func (s *exSearcher) search(i int) error {
 // children decides block inner[i] as each child the pruning admits, in
 // the search's order: unassigned, joined to each open group, then in
 // one new group (symmetry pruning: empty groups are indistinguishable,
-// so a single representative suffices), searching below each and then
-// undoing the placement. A child is tested before it is searched: the
-// cost and coverage bounds first, then place's report. The last block
-// opens no group, which would keep one member. When one more unit of
-// cost is already hopeless, a stuck block cuts the node.
+// so a single representative suffices). A child is tested before it is
+// searched: the cost and coverage bounds first, then place's report
+// (see try). The last block opens no group, which would keep one
+// member. When one more unit of cost is already hopeless, a stuck
+// block cuts the node.
 func (s *exSearcher) children(i int) error {
-	x := s.inner[i]
 	cost, reach := s.unassigned+len(s.groups), len(s.inner)-s.unassigned
-	bounded := !s.opts.DisableBound
 	if s.hopeless(cost+1, reach) && s.stuck(i) {
 		return nil
 	}
 	if !s.hopeless(cost+1, reach-1) {
-		fits := s.place(x, -1)
 		s.unassigned++
-		if fits || !bounded {
-			if err := s.search(i + 1); err != nil {
-				return err
-			}
+		if err := s.try(i, -1); err != nil {
+			return err
 		}
 		s.unassigned--
-		s.unplace(x, -1)
 	}
 	for gi := range s.groups {
 		if s.hopeless(cost, reach) {
 			break // an earlier child's leaf improved the incumbent
 		}
-		if s.place(x, gi) || !bounded {
-			if err := s.search(i + 1); err != nil {
-				return err
-			}
-		}
-		s.unplace(x, gi)
-	}
-	if (bounded && i == len(s.inner)-1) || s.hopeless(cost+1, reach) {
-		return nil
-	}
-	gi := s.openGroup()
-	if s.place(x, gi) || !bounded {
-		if err := s.search(i + 1); err != nil {
+		if err := s.try(i, gi); err != nil {
 			return err
 		}
 	}
-	s.unplace(x, gi)
+	if i == len(s.inner)-1 || s.hopeless(cost+1, reach) {
+		return nil
+	}
+	if err := s.try(i, s.openGroup()); err != nil {
+		return err
+	}
 	s.closeGroup()
 	return nil
 }
 
-// leaf evaluates a complete assignment against the incumbent.
+// try places block inner[i] in group gi, or leaves it unassigned when
+// gi < 0, searches below when every group still fits, and takes the
+// placement back.
+func (s *exSearcher) try(i, gi int) error {
+	x := s.inner[i]
+	if s.place(x, gi, false) {
+		if err := s.search(i + 1); err != nil {
+			return err
+		}
+	}
+	s.place(x, gi, true)
+	return nil
+}
+
+// leaf evaluates a complete assignment against the incumbent. Every
+// node is decided now, so each group's permanent demand is its whole
+// demand, which place held within the budget; a group must still have
+// at least two members.
 func (s *exSearcher) leaf() {
 	cost, covered := s.unassigned+len(s.groups), len(s.inner)-s.unassigned
 	if !s.better(cost, covered) {
 		return
 	}
-	// All groups must be valid partitions under the *full* I/O count
-	// (the permanent floor excludes edges to pinned inner blocks).
+	s.groupSets = s.groupSets[:0]
 	for _, grp := range s.groups {
-		if grp.size < 2 || !s.fitsFull(grp.members) {
+		if grp.members.Len() < 2 {
 			return
 		}
+		s.groupSets = append(s.groupSets, grp.members)
 	}
-	if s.c.RequireConvex {
-		parts := make([]graph.NodeSet, len(s.groups))
-		for gi, grp := range s.groups {
-			parts[gi] = grp.members
-		}
-		ct, err := s.g.Contract(parts)
-		if err != nil || !ct.Acyclic() {
-			return
-		}
-	}
-	s.cost, s.covered = cost, covered
-	s.parts = make([]graph.NodeSet, len(s.groups))
-	for gi, grp := range s.groups {
-		s.parts[gi] = grp.members.Clone()
-	}
-}
-
-// fitsFull is Fits without allocation: distinct external ports are
-// counted with epoch-stamped scratch arrays.
-func (s *exSearcher) fitsFull(set graph.NodeSet) bool {
-	s.epoch++
-	e := s.epoch
-	ins, outs := 0, 0
-	set.ForEach(func(id graph.NodeID) {
-		for _, ed := range s.g.InEdgesView(id) {
-			if !set.Has(ed.From.Node) {
-				p := s.px.id(ed.From)
-				if s.stampIn[p] != e {
-					s.stampIn[p] = e
-					ins++
-				}
-			}
-		}
-		for _, ed := range s.g.OutEdgesView(id) {
-			if !set.Has(ed.To.Node) {
-				p := s.px.id(ed.From)
-				if s.stampOut[p] != e {
-					s.stampOut[p] = e
-					outs++
-				}
-			}
-		}
-	})
-	if ins > s.c.MaxInputs || outs > s.c.MaxOutputs {
-		return false
-	}
-	if s.c.RequireConvex && !s.g.IsConvex(set) {
-		return false
-	}
-	return true
+	s.record(cost, covered, s.groupSets)
 }
 
 // famSearcher is the family engine's search state. Blocks are named by
 // their index in inner, and a set of blocks is a mask over those
 // indexes.
 type famSearcher struct {
-	g     *graph.Graph
-	c     Constraints
-	opts  ExhaustiveOptions
-	inner []graph.NodeID
-	full  uint64 // every block
-
-	incumbent
-	unassigned int
-	visited    int64
+	exSearch
+	full uint64 // every block
 
 	// The family, built when the search first opens a group: sets
 	// lists the design's fitting groups of at least two blocks, ordered
@@ -628,11 +503,13 @@ type famSearcher struct {
 
 	// The open groups (see famOpen). Level i of lv, stride words long,
 	// holds while block i is decided each open group's matches; a
-	// group opened by block j keeps them at offset slot[j].
-	open   []famOpen
-	slot   []int32
-	stride int
-	lv     []uint64
+	// group opened by block j keeps them at offset slot[j]. At a leaf,
+	// groupSets holds their members.
+	open      []famOpen
+	slot      []int32
+	stride    int
+	lv        []uint64
+	groupSets []graph.NodeSet
 
 	// Enumeration scratch (see build): the port index; each node's
 	// index in inner, or -1 when it is not partitionable; the blocks'
@@ -643,7 +520,7 @@ type famSearcher struct {
 	// singletons included, ordered by lowest member
 	// (comps[compAt[j]:compAt[j+1]] have block j lowest); their input
 	// ports, then the unions' per depth; the enumeration's step count;
-	// the fewest outputs of any of them; and scratch node sets.
+	// the fewest outputs of any of them; and a scratch node set.
 	px              portIndex
 	idx             []int32
 	edges           []famEdge
@@ -657,7 +534,6 @@ type famSearcher struct {
 	ports           []int32
 	steps           int
 	tmp             graph.NodeSet
-	groupSets       []graph.NodeSet
 }
 
 // famOpen is one open group: its members, and where its matches lie.
@@ -688,24 +564,19 @@ type famComp struct {
 // bind makes f an idle searcher over g's partitionable nodes inner
 // with incumbent init, reusing its storage. The family is not built
 // yet, and no group is open.
-func (f *famSearcher) bind(g *graph.Graph, c Constraints, opts ExhaustiveOptions, inner []graph.NodeID, init incumbent) *famSearcher {
-	f.g, f.c, f.opts, f.inner, f.incumbent = g, c, opts, inner, init
+func (f *famSearcher) bind(g *graph.Graph, c Constraints, ctx context.Context, inner []graph.NodeID, init incumbent) *famSearcher {
+	f.exSearch = exSearch{g: g, c: c, ctx: ctx, inner: inner, incumbent: init}
 	n := len(inner)
 	f.full = uint64(1)<<n - 1
-	f.unassigned, f.visited, f.built, f.stride, f.words = 0, 0, false, 0, 0
+	f.built, f.stride, f.words = false, 0, 0
 	f.open = sized(f.open, n)[:0]
 	return f
 }
 
 // search decides block i and recurses, like exSearcher.search.
 func (f *famSearcher) search(i int) error {
-	f.visited++
-	if f.opts.Ctx != nil && f.visited%1024 == 0 {
-		select {
-		case <-f.opts.Ctx.Done():
-			return f.opts.Ctx.Err()
-		default:
-		}
+	if err := f.visit(); err != nil {
+		return err
 	}
 	if i == len(f.inner) {
 		f.leaf()
@@ -713,10 +584,6 @@ func (f *famSearcher) search(i int) error {
 	}
 	return f.children(i)
 }
-
-// hopeless reports whether no leaf of at least the given cost that
-// covers at most covered blocks can beat the incumbent.
-func (f *famSearcher) hopeless(cost, covered int) bool { return !f.better(cost, covered) }
 
 // children decides block i as exSearcher.children does, in the same
 // order and under the same cost and coverage bounds, with rules 3 and 4
@@ -833,30 +700,20 @@ func (f *famSearcher) stuck(i int) bool {
 
 // leaf evaluates a complete assignment against the incumbent. Every
 // open group kept a match, so each is a fitting group of at least two
-// blocks; only the joint acyclicity of RequireConvex is left to check.
+// blocks.
 func (f *famSearcher) leaf() {
 	cost, covered := f.unassigned+len(f.open), len(f.inner)-f.unassigned
 	if !f.better(cost, covered) {
 		return
 	}
-	if f.c.RequireConvex {
-		for len(f.groupSets) < len(f.open) {
-			f.groupSets = append(f.groupSets, graph.NewNodeSet())
-		}
-		parts := f.groupSets[:len(f.open)]
-		for k, o := range f.open {
-			f.nodeSet(parts[k], o.members)
-		}
-		ct, err := f.g.Contract(parts)
-		if err != nil || !ct.Acyclic() {
-			return
-		}
+	for len(f.groupSets) < len(f.open) {
+		f.groupSets = append(f.groupSets, graph.NewNodeSet())
 	}
-	f.cost, f.covered = cost, covered
-	f.parts = make([]graph.NodeSet, len(f.open))
+	parts := f.groupSets[:len(f.open)]
 	for k, o := range f.open {
-		f.parts[k] = f.nodeSet(f.tmp, o.members).Clone()
+		f.nodeSet(parts[k], o.members)
 	}
+	f.record(cost, covered, parts)
 }
 
 // nodeSet makes set hold the blocks of mask m and returns it.

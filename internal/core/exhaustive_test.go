@@ -87,41 +87,43 @@ func TestExhaustiveOptimalAtMostPareDownProperty(t *testing.T) {
 
 func TestExhaustiveBoundMatchesUnbounded(t *testing.T) {
 	// Branch-and-bound and the permanent-I/O prune must not change the
-	// optimum, only the node count.
+	// optimum of the seed reference's unbounded search, only the node
+	// count, on either engine.
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 25; trial++ {
 		g := randomTestDAG(rng, 1+rng.Intn(6))
-		fast, err := Exhaustive(g, DefaultConstraints, ExhaustiveOptions{})
+		slow, err := seedExhaustive(g, DefaultConstraints, seedExhaustiveOptions{DisableBound: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow, err := Exhaustive(g, DefaultConstraints, ExhaustiveOptions{DisableBound: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fast.Cost() != slow.Cost() {
-			t.Fatalf("trial %d: bounded cost %d != unbounded cost %d", trial, fast.Cost(), slow.Cost())
-		}
-		if fast.NodesVisited > slow.NodesVisited {
-			t.Fatalf("trial %d: bound increased nodes (%d > %d)", trial, fast.NodesVisited, slow.NodesVisited)
+		for _, family := range []bool{true, false} {
+			fast, err := exhaustive(g, DefaultConstraints, ExhaustiveOptions{}, family)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fast.Cost() != slow.Cost() {
+				t.Fatalf("trial %d, family engine %v: bounded cost %d != unbounded cost %d", trial, family, fast.Cost(), slow.Cost())
+			}
+			if fast.NodesVisited > slow.NodesVisited {
+				t.Fatalf("trial %d, family engine %v: bound increased nodes (%d > %d)", trial, family, fast.NodesVisited, slow.NodesVisited)
+			}
 		}
 	}
 }
 
-func TestExhaustiveSeededBound(t *testing.T) {
+// TestExhaustiveEmptyPartitions pins the result when PareDown accepts
+// no partition and nothing beats it: each engine returns cost 3 with
+// Partitions empty but not nil.
+func TestExhaustiveEmptyPartitions(t *testing.T) {
 	g := parallelGates(3) // optimum is 3 with no partitions
-	// Seeding with the optimum: nothing strictly better exists.
-	_, err := Exhaustive(g, DefaultConstraints, ExhaustiveOptions{InitialBound: 3})
-	if !IsSeedStands(err) {
-		t.Fatalf("err = %v, want seed-stands", err)
-	}
-	// Seeding with a loose bound still finds the optimum.
-	res, err := Exhaustive(g, DefaultConstraints, ExhaustiveOptions{InitialBound: 3 + 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost() != 3 {
-		t.Fatalf("seeded cost = %d", res.Cost())
+	for _, family := range []bool{true, false} {
+		res, err := exhaustive(g, DefaultConstraints, ExhaustiveOptions{}, family)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cost() != 3 || res.Partitions == nil || len(res.Partitions) != 0 {
+			t.Fatalf("family engine %v: cost %d, partitions %#v; want cost 3 and an empty, non-nil list", family, res.Cost(), res.Partitions)
+		}
 	}
 }
 

@@ -20,8 +20,6 @@ type Options struct {
 	Ctx context.Context
 	// PareDown tunes the decomposition heuristic ("paredown").
 	PareDown PareDownOptions
-	// Exhaustive tunes the optimal search ("exhaustive").
-	Exhaustive ExhaustiveOptions
 	// Hetero, when non-nil, overrides the problem statement of the
 	// heterogeneous partitioner ("hetero"). When nil, "hetero" runs
 	// against a single block type shaped like the Constraints with the
@@ -122,11 +120,7 @@ func init() {
 		return PareDown(g, c, opts.PareDown)
 	}}))
 	must(Register(PartitionerFunc{"exhaustive", func(g *graph.Graph, c Constraints, opts Options) (*Result, error) {
-		eo := opts.Exhaustive
-		if eo.Ctx == nil {
-			eo.Ctx = opts.Ctx
-		}
-		return Exhaustive(g, c, eo)
+		return Exhaustive(g, c, ExhaustiveOptions{Ctx: opts.Ctx})
 	}}))
 	must(Register(PartitionerFunc{"aggregation", func(g *graph.Graph, c Constraints, opts Options) (*Result, error) {
 		return Aggregation(g, c)

@@ -243,7 +243,7 @@ type seedSearcher struct {
 	c     Constraints
 	inner []graph.NodeID
 	pos   map[graph.NodeID]int
-	opts  ExhaustiveOptions
+	opts  seedExhaustiveOptions
 
 	groups      []graph.NodeSet
 	unassigned  int
@@ -253,8 +253,17 @@ type seedSearcher struct {
 	res         *Result
 }
 
+// seedExhaustiveOptions tune seedExhaustive. DisableBound turns
+// branch-and-bound off, the cost bound and the permanent-demand probe,
+// leaving only the paper's empty-block symmetry pruning, like the 2005
+// implementation: tests use it to check that pruning keeps the optimal
+// cost.
+type seedExhaustiveOptions struct {
+	DisableBound bool
+}
+
 // seedExhaustive is the original Exhaustive.
-func seedExhaustive(g *graph.Graph, c Constraints, opts ExhaustiveOptions) (*Result, error) {
+func seedExhaustive(g *graph.Graph, c Constraints, opts seedExhaustiveOptions) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -272,25 +281,15 @@ func seedExhaustive(g *graph.Graph, c Constraints, opts ExhaustiveOptions) (*Res
 	for i, id := range inner {
 		s.pos[id] = i
 	}
-	seeded := opts.InitialBound > 0 && opts.InitialBound <= n
-	switch {
-	case seeded:
-		s.best = opts.InitialBound
-		s.bestCovered = 1 << 30
-	case !opts.DisableBound:
+	if !opts.DisableBound {
 		if pd, err := seedPareDown(g, c, PareDownOptions{}); err == nil {
 			s.best = pd.Cost()
 			s.bestCovered = pd.Covered()
 			s.bestParts = pd.Partitions
 		}
 	}
-	if err := s.search(0); err != nil {
-		return nil, err
-	}
+	s.search(0)
 	if s.bestParts == nil {
-		if seeded {
-			return nil, errSeedStands
-		}
 		s.bestParts = []graph.NodeSet{}
 	}
 	s.res.Partitions = s.bestParts
@@ -298,18 +297,11 @@ func seedExhaustive(g *graph.Graph, c Constraints, opts ExhaustiveOptions) (*Res
 	return s.res, nil
 }
 
-func (s *seedSearcher) search(i int) error {
+func (s *seedSearcher) search(i int) {
 	s.res.NodesVisited++
-	if s.opts.Ctx != nil && s.res.NodesVisited%4096 == 0 {
-		select {
-		case <-s.opts.Ctx.Done():
-			return s.opts.Ctx.Err()
-		default:
-		}
-	}
 	cost := s.unassigned + len(s.groups)
 	if !s.opts.DisableBound && cost > s.best {
-		return nil
+		return
 	}
 	if i == len(s.inner) {
 		covered := 0
@@ -318,17 +310,17 @@ func (s *seedSearcher) search(i int) error {
 		}
 		better := cost < s.best || (cost == s.best && covered > s.bestCovered)
 		if !better {
-			return nil
+			return
 		}
 		for _, grp := range s.groups {
 			if grp.Len() < 2 || !seedFits(s.g, grp, s.c) {
-				return nil
+				return
 			}
 		}
 		if s.c.RequireConvex {
 			ct, err := s.g.Contract(s.groups)
 			if err != nil || !ct.Acyclic() {
-				return nil
+				return
 			}
 		}
 		s.best = cost
@@ -337,32 +329,25 @@ func (s *seedSearcher) search(i int) error {
 		for gi, grp := range s.groups {
 			s.bestParts[gi] = grp.Clone()
 		}
-		return nil
+		return
 	}
 	id := s.inner[i]
 
 	s.unassigned++
-	if err := s.search(i + 1); err != nil {
-		return err
-	}
+	s.search(i + 1)
 	s.unassigned--
 
 	for gi := range s.groups {
 		s.groups[gi].Add(id)
 		if s.feasibleSoFar(gi, i) {
-			if err := s.search(i + 1); err != nil {
-				return err
-			}
+			s.search(i + 1)
 		}
 		s.groups[gi].Remove(id)
 	}
 
 	s.groups = append(s.groups, graph.NewNodeSet(id))
-	if err := s.search(i + 1); err != nil {
-		return err
-	}
+	s.search(i + 1)
 	s.groups = s.groups[:len(s.groups)-1]
-	return nil
 }
 
 func (s *seedSearcher) feasibleSoFar(gi, i int) bool {

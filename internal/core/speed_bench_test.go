@@ -106,7 +106,7 @@ func BenchmarkExhaustive12(b *testing.B) {
 	b.Run("seed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := seedExhaustive(g, DefaultConstraints, ExhaustiveOptions{}); err != nil {
+			if _, err := seedExhaustive(g, DefaultConstraints, seedExhaustiveOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -53,8 +53,7 @@ func getWorkspace() *workspace { return workspaces.Get().(*workspace) }
 func (ws *workspace) put() {
 	ws.ev.g = nil
 	ws.rk.ev, ws.rk.levels = nil, nil
-	ws.s.g, ws.s.opts, ws.s.inner, ws.s.parts = nil, ExhaustiveOptions{}, nil, nil
-	ws.f.g, ws.f.opts, ws.f.inner, ws.f.parts = nil, ExhaustiveOptions{}, nil, nil
+	ws.s.exSearch, ws.f.exSearch = exSearch{}, exSearch{}
 	workspaces.Put(ws)
 }
 

@@ -13,19 +13,16 @@ import (
 )
 
 // resultDigest runs one partitioning call and digests its result with
-// hashResult, plus NodesVisited when the count is exact (a sequential
-// search): a stale scratch array that only weakens pruning moves the
-// count without moving the result.
-func resultDigest(run func() (*Result, error), exactNodes bool) ([sha256.Size]byte, error) {
+// hashResult, plus NodesVisited: a stale scratch array that only weakens
+// pruning moves the count without moving the result.
+func resultDigest(run func() (*Result, error)) ([sha256.Size]byte, error) {
 	res, err := run()
 	if err != nil {
 		return [sha256.Size]byte{}, err
 	}
 	h := sha256.New()
 	hashResult(h, res)
-	if exactNodes {
-		fmt.Fprint(h, res.NodesVisited)
-	}
+	fmt.Fprint(h, res.NodesVisited)
 	return [sha256.Size]byte(h.Sum(nil)), nil
 }
 
@@ -75,9 +72,10 @@ func poisonWorkspace() {
 		s.free = append(s.free, &exGroup{members: graph.NewNodeSet()})
 	}
 	s.groups = append(s.groups[:0], s.free[:2]...)
+	s.groupSets = append(s.groupSets[:0], graph.NewNodeSet(3))
 	for _, grp := range s.free {
 		grp.members.Add(3)
-		grp.size, grp.inputs, grp.outputs = 3, 1, 1
+		grp.inputs, grp.outputs = 1, 1
 		grp.extIn, grp.outLv = filled(grp.extIn, n, 1), filled(grp.outLv, n, 1)
 	}
 	f := &ws.f
@@ -111,32 +109,29 @@ func poisonWorkspace() {
 // order: no result may depend on which workspace the pool hands out.
 func TestWorkspacePoolSafety(t *testing.T) {
 	type job struct {
-		name       string
-		run        func() (*Result, error)
-		exactNodes bool
+		name string
+		run  func() (*Result, error)
 	}
 	var jobs []job
 	for _, d := range goldenPopulation() {
 		g := d.g
 		jobs = append(jobs,
-			job{d.name + "/paredown", func() (*Result, error) { return PareDown(g, DefaultConstraints, PareDownOptions{}) }, false},
-			job{d.name + "/hetero", func() (*Result, error) { return Partition(g, "hetero", DefaultConstraints, Options{}) }, false},
-			job{d.name + "/aggregation", func() (*Result, error) { return Aggregation(g, DefaultConstraints) }, false},
+			job{d.name + "/paredown", func() (*Result, error) { return PareDown(g, DefaultConstraints, PareDownOptions{}) }},
+			job{d.name + "/hetero", func() (*Result, error) { return Partition(g, "hetero", DefaultConstraints, Options{}) }},
+			job{d.name + "/aggregation", func() (*Result, error) { return Aggregation(g, DefaultConstraints) }},
 		)
 	}
 	for _, d := range exhaustiveGoldenDesigns(t) {
 		g := d.g
-		for _, workers := range []int{1, 2} {
-			jobs = append(jobs, job{fmt.Sprintf("%s/exhaustive-workers-%d", d.name, workers), func() (*Result, error) {
-				return Exhaustive(g, DefaultConstraints, ExhaustiveOptions{Workers: workers})
-			}, workers == 1})
-		}
+		jobs = append(jobs, job{d.name + "/exhaustive", func() (*Result, error) {
+			return Exhaustive(g, DefaultConstraints, ExhaustiveOptions{})
+		}})
 	}
 
 	want := make([][sha256.Size]byte, len(jobs))
 	for i, j := range jobs {
 		var err error
-		if want[i], err = resultDigest(j.run, j.exactNodes); err != nil {
+		if want[i], err = resultDigest(j.run); err != nil {
 			t.Fatalf("%s: %v", j.name, err)
 		}
 	}
@@ -151,7 +146,7 @@ func TestWorkspacePoolSafety(t *testing.T) {
 			for k := int(next.Add(1) - 1); k < len(order); k = int(next.Add(1) - 1) {
 				j := jobs[order[k]]
 				poisonWorkspace()
-				got, err := resultDigest(j.run, j.exactNodes)
+				got, err := resultDigest(j.run)
 				if err != nil {
 					t.Errorf("%s: %v", j.name, err)
 				} else if got != want[order[k]] {
@@ -163,12 +158,12 @@ func TestWorkspacePoolSafety(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAbandonedSearcherIsDropped cancels exhaustive searches on
+// TestAbandonedSearcherIsDropped cancels an exhaustive search on
 // TestExhaustiveCancellation's design mid-branch: the context is
-// cancelled up front, so each searcher stops at its first poll, 1,024
+// cancelled up front, so the searcher stops at its first poll, 1,024
 // nodes in, with groups open. Uncancelled searches of golden designs
 // then run on the same goroutine, and each must give the result it
-// gave before the cancellations.
+// gave before the cancellation.
 func TestAbandonedSearcherIsDropped(t *testing.T) {
 	big := randomTestDAG(rand.New(rand.NewSource(31)), 40)
 	var picked []goldenDesign
@@ -177,36 +172,32 @@ func TestAbandonedSearcherIsDropped(t *testing.T) {
 			picked = append(picked, d)
 		}
 	}
-	search := func(d goldenDesign, workers int) func() (*Result, error) {
+	search := func(d goldenDesign) func() (*Result, error) {
 		return func() (*Result, error) {
-			return Exhaustive(d.g, DefaultConstraints, ExhaustiveOptions{Workers: workers})
+			return Exhaustive(d.g, DefaultConstraints, ExhaustiveOptions{})
 		}
 	}
-	want := map[int][][sha256.Size]byte{}
-	for _, workers := range []int{1, 2} {
-		for _, d := range picked {
-			digest, err := resultDigest(search(d, workers), workers == 1)
-			if err != nil {
-				t.Fatalf("%s, workers=%d: %v", d.name, workers, err)
-			}
-			want[workers] = append(want[workers], digest)
+	var want [][sha256.Size]byte
+	for _, d := range picked {
+		digest, err := resultDigest(search(d))
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
 		}
+		want = append(want, digest)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{1, 2} {
-		if _, err := Exhaustive(big, DefaultConstraints, ExhaustiveOptions{Ctx: ctx, Workers: workers}); err != context.Canceled {
-			t.Fatalf("workers=%d: cancelled search returned %v, want context.Canceled", workers, err)
+	if _, err := Exhaustive(big, DefaultConstraints, ExhaustiveOptions{Ctx: ctx}); err != context.Canceled {
+		t.Fatalf("cancelled search returned %v, want context.Canceled", err)
+	}
+	for i, d := range picked {
+		got, err := resultDigest(search(d))
+		if err != nil {
+			t.Fatalf("%s after a cancelled search: %v", d.name, err)
 		}
-		for i, d := range picked {
-			got, err := resultDigest(search(d, workers), workers == 1)
-			if err != nil {
-				t.Fatalf("%s after a cancelled search, workers=%d: %v", d.name, workers, err)
-			}
-			if got != want[workers][i] {
-				t.Errorf("%s after a cancelled search, workers=%d: result differs from before", d.name, workers)
-			}
+		if got != want[i] {
+			t.Errorf("%s after a cancelled search: result differs from before", d.name)
 		}
 	}
 }
